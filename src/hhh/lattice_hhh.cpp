@@ -260,8 +260,8 @@ double LatticeHhh<Backend>::psi() const {
 
 template <class Backend>
 HhhSet LatticeHhh<Backend>::output(double theta) const {
-  HhhSet P(h_->size());
-  if (n_ == 0) return P;
+  if (n_ == 0) return HhhSet(h_->size());
+  ConditionedIndex P(*h_);
   const double N = static_cast<double>(n_);
   const double thresh = theta * N;
   const double corr = correction();
@@ -283,16 +283,15 @@ HhhSet LatticeHhh<Backend>::output(double theta) const {
         // slop (calcPred > 0), so skipping them is sound and trims false
         // positives. In one dimension calcPred <= 0 makes this exact.
         if (f_hi + corr < thresh) return;
-        const auto g_set = best_generalized(*h_, p, P);
         const double c_hat =
-            f_hi + calc_pred(*h_, p, P, g_set, glb_upper) + corr;
+            f_hi + P.calc_pred(P.best_generalized(p), glb_upper) + corr;
         if (c_hat >= thresh) {
-          P.add(HhhCandidate{p, f_hi, f_lo, f_hi, c_hat});
+          P.admit(HhhCandidate{p, f_hi, f_lo, f_hi, c_hat});
         }
       });
     }
   }
-  return P;
+  return std::move(P).take();
 }
 
 template <class Backend>

@@ -159,8 +159,7 @@ double TrieHhh::estimate(const Prefix& p) const {
 }
 
 HhhSet TrieHhh::output(double theta) const {
-  HhhSet P(h_->size());
-  if (n_ == 0) return P;
+  if (n_ == 0) return HhhSet(h_->size());
   const double thresh = theta * static_cast<double>(n_);
   // Lossy-counting undercount bound: any prefix missed at most (epoch - 1)
   // ~ eps*N arrivals across insertion lag and compressions.
@@ -182,6 +181,7 @@ HhhSet TrieHhh::output(double theta) const {
 
   // Same conservative level ascent as Algorithm 1 (shared calcPred), with
   // the deterministic slack in place of the sampling correction.
+  ConditionedIndex P(*h_);
   for (int level = 0; level < h_->num_levels(); ++level) {
     for (const std::uint32_t node : h_->nodes_at_level(level)) {
       for (const auto& [p, f] : by_node[node]) {
@@ -191,15 +191,14 @@ HhhSet TrieHhh::output(double theta) const {
         // the threshold (C <= f <= f_hi): skipping it is sound and removes
         // bound-slop false positives.
         if (f_hi < thresh) continue;
-        const auto g_set = best_generalized(*h_, p, P);
-        const double c_hat = f_hi + calc_pred(*h_, p, P, g_set, upper);
+        const double c_hat = f_hi + P.calc_pred(P.best_generalized(p), upper);
         if (c_hat >= thresh) {
-          P.add(HhhCandidate{p, f_hi, f_lo, f_hi, c_hat});
+          P.admit(HhhCandidate{p, f_hi, f_lo, f_hi, c_hat});
         }
       }
     }
   }
-  return P;
+  return std::move(P).take();
 }
 
 bool TrieHhh::validate() const {

@@ -5,8 +5,12 @@
 // cross-algorithm agreement.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
 #include <cmath>
 #include <memory>
+#include <span>
+#include <stdexcept>
 #include <vector>
 
 #include "eval/ground_truth.hpp"
@@ -22,61 +26,128 @@ namespace {
 
 // ------------------------------------------------------ conditioned ----
 
+/// Reference implementations straight from the definitions, by quadratic
+/// scans: G(p|P) scans every member below p and drops those another
+/// covered member generalizes; calcPred tests every third member of G
+/// against each glb. ConditionedIndex must reproduce them bit for bit.
+namespace scan {
+
+std::vector<std::uint32_t> best_generalized(const Hierarchy& h, const Prefix& p,
+                                            const HhhSet& P) {
+  std::vector<std::uint32_t> covered;
+  for (std::uint32_t nd = 0; nd < h.size(); ++nd) {
+    if (nd == p.node || !h.node_generalizes(p.node, nd)) continue;
+    for (std::uint32_t idx : P.at_node(nd)) {
+      const Prefix& q = P[idx].prefix;
+      if ((q.key & h.node(p.node).mask) == p.key) covered.push_back(idx);
+    }
+  }
+  std::vector<std::uint32_t> maximal;
+  for (std::uint32_t i : covered) {
+    bool dominated = false;
+    for (std::uint32_t j : covered) {
+      if (i != j && h.strictly_generalizes(P[j].prefix, P[i].prefix)) {
+        dominated = true;
+        break;
+      }
+    }
+    if (!dominated) maximal.push_back(i);
+  }
+  return maximal;
+}
+
+double calc_pred(const Hierarchy& h, const HhhSet& P, const std::vector<std::uint32_t>& g,
+                 const UpperEstimate& upper_estimate) {
+  double r = 0.0;
+  for (std::uint32_t i : g) r -= P[i].f_lo;
+  if (h.dims() == 2 && g.size() >= 2) {
+    for (std::size_t a = 0; a < g.size(); ++a) {
+      for (std::size_t b = a + 1; b < g.size(); ++b) {
+        const auto q = h.glb(P[g[a]].prefix, P[g[b]].prefix);
+        if (!q.has_value()) continue;
+        bool third_covers = false;
+        for (std::size_t c = 0; c < g.size() && !third_covers; ++c) {
+          third_covers = c != a && c != b && h.generalizes(P[g[c]].prefix, *q);
+        }
+        if (!third_covers) r += upper_estimate(*q);
+      }
+    }
+  }
+  return r;
+}
+
+}  // namespace scan
+
+std::vector<std::uint32_t> to_vector(std::span<const std::uint32_t> g) {
+  return {g.begin(), g.end()};
+}
+
+std::uint64_t bits_of(double d) { return std::bit_cast<std::uint64_t>(d); }
+
 TEST(BestGeneralized, PaperExampleFromDefinition2) {
   // p = <142.14.*>, P = {<142.14.13.*>, <142.14.13.14>}:
   // G(p|P) contains only <142.14.13.*>.
   const Hierarchy h = Hierarchy::ipv4_1d(Granularity::kByte);
-  HhhSet P(h.size());
+  ConditionedIndex P(h);
   const Key128 ip = Key128::from_u32(ipv4(142, 14, 13, 14));
   const Prefix p24{h.node_index(1), h.mask_key(h.node_index(1), ip)};
   const Prefix p32{h.node_index(0), ip};
-  P.add(HhhCandidate{p24, 10, 10, 10, 10});
-  P.add(HhhCandidate{p32, 5, 5, 5, 5});
+  P.admit(HhhCandidate{p32, 5, 5, 5, 5});
+  P.admit(HhhCandidate{p24, 10, 10, 10, 10});
   const Prefix p16{h.node_index(2), h.mask_key(h.node_index(2), ip)};
-  const auto g = best_generalized(h, p16, P);
+  const auto g = P.best_generalized(p16);
   ASSERT_EQ(g.size(), 1u);
-  EXPECT_EQ(P[g[0]].prefix, p24);
+  EXPECT_EQ(P.members()[g[0]].prefix, p24);
 }
 
 TEST(BestGeneralized, UnrelatedPrefixesExcluded) {
   const Hierarchy h = Hierarchy::ipv4_1d(Granularity::kByte);
-  HhhSet P(h.size());
+  ConditionedIndex P(h);
   const Key128 other = Key128::from_u32(ipv4(10, 0, 0, 1));
-  P.add(HhhCandidate{{h.node_index(1), h.mask_key(h.node_index(1), other)}, 1, 1, 1, 1});
+  P.admit(HhhCandidate{{h.node_index(1), h.mask_key(h.node_index(1), other)}, 1, 1, 1, 1});
   const Key128 ip = Key128::from_u32(ipv4(142, 14, 13, 14));
   const Prefix p16{h.node_index(2), h.mask_key(h.node_index(2), ip)};
-  EXPECT_TRUE(best_generalized(h, p16, P).empty());
+  EXPECT_TRUE(P.best_generalized(p16).empty());
+}
+
+TEST(BestGeneralized, AdmissionBelowTheLevelReachedThrows) {
+  const Hierarchy h = Hierarchy::ipv4_1d(Granularity::kByte);
+  ConditionedIndex P(h);
+  const Key128 ip = Key128::from_u32(ipv4(142, 14, 13, 14));
+  P.admit(HhhCandidate{{h.node_index(1), h.mask_key(h.node_index(1), ip)}, 1, 1, 1, 1});
+  EXPECT_THROW(P.admit(HhhCandidate{{h.node_index(0), ip}, 1, 1, 1, 1}),
+               std::logic_error);
 }
 
 TEST(CalcPred, OneDimensionSubtractsLowerBounds) {
   const Hierarchy h = Hierarchy::ipv4_1d(Granularity::kByte);
-  HhhSet P(h.size());
+  ConditionedIndex P(h);
   const Key128 a = Key128::from_u32(ipv4(142, 14, 1, 1));
   const Key128 b = Key128::from_u32(ipv4(142, 14, 2, 2));
-  P.add(HhhCandidate{{h.node_index(1), h.mask_key(h.node_index(1), a)}, 50, 40, 50, 50});
-  P.add(HhhCandidate{{h.node_index(1), h.mask_key(h.node_index(1), b)}, 30, 25, 30, 30});
+  P.admit(HhhCandidate{{h.node_index(1), h.mask_key(h.node_index(1), a)}, 50, 40, 50, 50});
+  P.admit(HhhCandidate{{h.node_index(1), h.mask_key(h.node_index(1), b)}, 30, 25, 30, 30});
   const Prefix p16{h.node_index(2), h.mask_key(h.node_index(2), a)};
-  const auto g = best_generalized(h, p16, P);
+  const auto g = P.best_generalized(p16);
   ASSERT_EQ(g.size(), 2u);
-  const double r = calc_pred(h, p16, P, g, [](const Prefix&) { return 1e9; });
+  const double r = P.calc_pred(g, [](const Prefix&) { return 1e9; });
   EXPECT_DOUBLE_EQ(r, -(40.0 + 25.0));  // glb add-back never fires in 1D
 }
 
 TEST(CalcPred, TwoDimensionGlbAddBack) {
   const Hierarchy h = Hierarchy::ipv4_2d(Granularity::kByte);
   const Key128 full = Key128::from_pair(ipv4(1, 2, 3, 4), ipv4(5, 6, 7, 8));
-  HhhSet P(h.size());
+  ConditionedIndex P(h);
   // Two overlapping members: (1.2.3.4, 5.6.7.*) and (1.2.3.*, 5.6.7.8).
   const Prefix m1{h.node_index(0, 1), h.mask_key(h.node_index(0, 1), full)};
   const Prefix m2{h.node_index(1, 0), h.mask_key(h.node_index(1, 0), full)};
-  P.add(HhhCandidate{m1, 60, 55, 60, 60});
-  P.add(HhhCandidate{m2, 40, 35, 40, 40});
+  P.admit(HhhCandidate{m1, 60, 55, 60, 60});
+  P.admit(HhhCandidate{m2, 40, 35, 40, 40});
   // Candidate parent (1.2.3.*, 5.6.7.*).
   const Prefix p{h.node_index(1, 1), h.mask_key(h.node_index(1, 1), full)};
-  const auto g = best_generalized(h, p, P);
+  const auto g = P.best_generalized(p);
   ASSERT_EQ(g.size(), 2u);
   // glb(m1, m2) = the fully-specified pair; its upper estimate is 20.
-  const double r = calc_pred(h, p, P, g, [&](const Prefix& q) {
+  const double r = P.calc_pred(g, [&](const Prefix& q) {
     EXPECT_EQ(q.node, h.bottom());
     EXPECT_EQ(q.key, full);
     return 20.0;
@@ -87,25 +158,25 @@ TEST(CalcPred, TwoDimensionGlbAddBack) {
 TEST(CalcPred, ThirdElementSuppressesAddBack) {
   const Hierarchy h = Hierarchy::ipv4_2d(Granularity::kByte);
   const Key128 full = Key128::from_pair(ipv4(1, 2, 3, 4), ipv4(5, 6, 7, 8));
-  HhhSet P(h.size());
+  ConditionedIndex P(h);
   // Three members over the same underlying pair at pairwise-incomparable
   // nodes: (0,2) = (1.2.3.4, 5.6.*), (2,0) = (1.2.*, 5.6.7.8) and
   // (1,1) = (1.2.3.*, 5.6.7.*).
   const Prefix m1{h.node_index(0, 2), h.mask_key(h.node_index(0, 2), full)};
   const Prefix m2{h.node_index(2, 0), h.mask_key(h.node_index(2, 0), full)};
   const Prefix m3{h.node_index(1, 1), h.mask_key(h.node_index(1, 1), full)};
-  P.add(HhhCandidate{m1, 60, 50, 60, 60});
-  P.add(HhhCandidate{m2, 40, 30, 40, 40});
-  P.add(HhhCandidate{m3, 20, 10, 20, 20});
+  P.admit(HhhCandidate{m1, 60, 50, 60, 60});
+  P.admit(HhhCandidate{m2, 40, 30, 40, 40});
+  P.admit(HhhCandidate{m3, 20, 10, 20, 20});
   const Prefix p{h.node_index(2, 2), h.mask_key(h.node_index(2, 2), full)};
-  const auto g = best_generalized(h, p, P);
+  const auto g = P.best_generalized(p);
   ASSERT_EQ(g.size(), 3u);
   // glb(m1,m2) = the fully-specified pair, which m3 generalizes -> that pair's
   // add-back is suppressed (Algorithm 3 line 8). glb(m1,m3) = (1.2.3.4,
   // 5.6.7.*) is not generalized by m2; glb(m2,m3) = (1.2.3.*, 5.6.7.8) is not
   // generalized by m1 -> both add back.
   std::vector<Prefix> added;
-  const double r = calc_pred(h, p, P, g, [&](const Prefix& q) {
+  const double r = P.calc_pred(g, [&](const Prefix& q) {
     added.push_back(q);
     return 5.0;
   });
@@ -113,6 +184,233 @@ TEST(CalcPred, ThirdElementSuppressesAddBack) {
   ASSERT_EQ(added.size(), 2u);
   for (const Prefix& q : added) {
     EXPECT_NE(q, Prefix(h.bottom(), full)) << "suppressed glb was added back";
+  }
+}
+
+// -------------------------------------- conditioned: differential oracle ----
+
+struct OracleHierarchy {
+  const char* name;
+  Hierarchy (*make)();
+};
+
+const OracleHierarchy kOracleHierarchies[] = {
+    {"ipv4_1d_byte", [] { return Hierarchy::ipv4_1d(Granularity::kByte); }},
+    {"ipv4_1d_bit", [] { return Hierarchy::ipv4_1d(Granularity::kBit); }},
+    {"ipv4_2d_byte", [] { return Hierarchy::ipv4_2d(Granularity::kByte); }},
+    {"ipv4_2d_nibble", [] { return Hierarchy::ipv4_2d(Granularity::kNibble); }},
+    {"ipv6_1d_nibble", [] { return Hierarchy::ipv6_1d(Granularity::kNibble); }},
+};
+
+/// Keys clustered around a few random bases: each shares the prefix of a
+/// random node with its base and is random below it, so prefixes at every
+/// level overlap -- deep G sets, shadowed members and glb pairs.
+class ClusteredKeys {
+ public:
+  ClusteredKeys(const Hierarchy& h, std::uint64_t seed, int bases) : h_(h), rng_(seed) {
+    for (int i = 0; i < bases; ++i) bases_.push_back(random_full());
+  }
+  Key128 next() {
+    const Key128 base = bases_[rng_.bounded(static_cast<std::uint32_t>(bases_.size()))];
+    const Key128 keep = h_.node(rng_.bounded(static_cast<std::uint32_t>(h_.size()))).mask;
+    return (base & keep) | (random_full() & ~keep);
+  }
+
+ private:
+  Key128 random_full() {
+    return Key128{rng_(), rng_()} & h_.node(h_.bottom()).mask;
+  }
+  const Hierarchy& h_;
+  Xoroshiro128 rng_;
+  std::vector<Key128> bases_;
+};
+
+/// Deterministic stand-in for a backend's upper estimate.
+double fake_upper(const Prefix& q) {
+  return static_cast<double>(PrefixHash{}(q) % 100000) / 7.0;
+}
+
+/// Random member sets, admitted in level order with a probe of G and
+/// calcPred before each admission and at random prefixes of every level in
+/// between: same G in the same order, bitwise-equal calcPred, and the same
+/// upper-estimate calls in the same order.
+TEST(ConditionedOracle, RandomMemberSetsMatchScan) {
+  for (const OracleHierarchy& oh : kOracleHierarchies) {
+    SCOPED_TRACE(oh.name);
+    const Hierarchy h = oh.make();
+    for (std::uint64_t seed = 1; seed <= 3; ++seed) {
+      ClusteredKeys keys(h, seed, 3);
+      Xoroshiro128 rng(seed * 77);
+      std::vector<Prefix> cands;
+      FlatHashMap<Prefix, std::uint32_t, PrefixHash> seen(64);
+      for (int i = 0; i < 600; ++i) {
+        const std::uint32_t node = rng.bounded(static_cast<std::uint32_t>(h.size()));
+        const Prefix p{node, h.mask_key(node, keys.next())};
+        if (seen.try_emplace(p, 0).second) cands.push_back(p);
+      }
+      std::stable_sort(cands.begin(), cands.end(), [&](const Prefix& a, const Prefix& b) {
+        return h.node(a.node).level < h.node(b.node).level;
+      });
+
+      ConditionedIndex index(h);
+      HhhSet ref(h.size());
+      std::size_t compared = 0;
+      std::size_t nonempty = 0;
+      const auto check = [&](const Prefix& p) {
+        const auto g_ref = scan::best_generalized(h, p, ref);
+        const auto g = to_vector(index.best_generalized(p));
+        ASSERT_EQ(g, g_ref) << h.format(p);
+        std::vector<Prefix> calls_ref;
+        std::vector<Prefix> calls;
+        const double r_ref = scan::calc_pred(h, ref, g_ref, [&](const Prefix& q) {
+          calls_ref.push_back(q);
+          return fake_upper(q);
+        });
+        const double r = index.calc_pred(g, [&](const Prefix& q) {
+          calls.push_back(q);
+          return fake_upper(q);
+        });
+        ASSERT_EQ(bits_of(r), bits_of(r_ref)) << h.format(p);
+        ASSERT_EQ(calls, calls_ref) << h.format(p);
+        ++compared;
+        if (g.size() >= 2) ++nonempty;
+      };
+      for (const Prefix& p : cands) {
+        check(p);
+        // A probe at a random node, repeated after the admission: a member
+        // admitted below an already-queried node must show up in (or
+        // shadow members of) that node's next answer.
+        const std::uint32_t node = rng.bounded(static_cast<std::uint32_t>(h.size()));
+        const Prefix probe{node, h.mask_key(node, keys.next())};
+        check(probe);
+        if (rng.bounded(10) < 7) {
+          const double f = static_cast<double>(rng.bounded(1000000)) / 3.0;
+          const HhhCandidate c{p, f, f / 2.0, f, f};
+          index.admit(c);
+          ref.add(c);
+          check(probe);
+        }
+      }
+      ASSERT_EQ(index.members().size(), ref.size());
+      EXPECT_GT(nonempty, compared / 20) << "stream too sparse to exercise G";
+    }
+  }
+}
+
+/// Replays Output (Algorithm 1) over an algorithm's candidates in the
+/// order output() visits them, with the scans in place of the index.
+template <class Visit>
+HhhSet scan_output(const Hierarchy& h, double thresh, double corr,
+                   const UpperEstimate& upper, Visit&& visit_node) {
+  HhhSet P(h.size());
+  for (int level = 0; level < h.num_levels(); ++level) {
+    for (const std::uint32_t node : h.nodes_at_level(level)) {
+      visit_node(node, [&](const Prefix& p, double f_hi, double f_lo) {
+        if (f_hi + corr < thresh) return;
+        const auto g = scan::best_generalized(h, p, P);
+        const double c_hat = f_hi + scan::calc_pred(h, P, g, upper) + corr;
+        if (c_hat >= thresh) P.add(HhhCandidate{p, f_hi, f_lo, f_hi, c_hat});
+      });
+    }
+  }
+  return P;
+}
+
+void expect_bitwise_equal(const Hierarchy& h, const HhhSet& got, const HhhSet& want) {
+  ASSERT_EQ(got.size(), want.size());
+  for (std::size_t i = 0; i < got.size(); ++i) {
+    ASSERT_EQ(got[i].prefix, want[i].prefix) << "member " << i;
+    ASSERT_EQ(bits_of(got[i].f_est), bits_of(want[i].f_est)) << h.format(got[i].prefix);
+    ASSERT_EQ(bits_of(got[i].f_lo), bits_of(want[i].f_lo)) << h.format(got[i].prefix);
+    ASSERT_EQ(bits_of(got[i].f_hi), bits_of(want[i].f_hi)) << h.format(got[i].prefix);
+    ASSERT_EQ(bits_of(got[i].c_hat), bits_of(want[i].c_hat)) << h.format(got[i].prefix);
+  }
+}
+
+/// Full LatticeHhh outputs before convergence (N < psi): the sampling slack
+/// exceeds theta*N, so every counter is a candidate and nearly every one is
+/// admitted -- the regime where Output's cost is largest.
+TEST(ConditionedOracle, LatticeOutputBelowPsiMatchesScan) {
+  for (const OracleHierarchy& oh : kOracleHierarchies) {
+    SCOPED_TRACE(oh.name);
+    const Hierarchy h = oh.make();
+    LatticeParams lp;
+    lp.eps = h.size() > 40 ? 0.1 : 0.05;
+    lp.seed = 5;
+    RhhhSpaceSaving alg(h, LatticeMode::kRhhh, lp);
+    ClusteredKeys keys(h, 11, 4);
+    const double n = std::min(60000.0, alg.psi() / 2.0);
+    for (int i = 0; i < n; ++i) alg.update(keys.next());
+    ASSERT_LT(static_cast<double>(alg.stream_length()), alg.psi());
+    const double theta = 0.05;
+    const HhhSet got = alg.output(theta);
+    const HhhSet want = scan_output(
+        h, theta * static_cast<double>(alg.stream_length()), alg.correction(),
+        [&](const Prefix& q) { return alg.estimate(q); },
+        [&](std::uint32_t node, const auto& visit) {
+          alg.instance(node).for_each([&](const Key128& k, std::uint64_t up, std::uint64_t lo) {
+            visit(Prefix{node, k}, alg.scale() * static_cast<double>(up),
+                  alg.scale() * static_cast<double>(lo));
+          });
+        });
+    EXPECT_GT(want.size(), 100u);
+    expect_bitwise_equal(h, got, want);
+  }
+}
+
+/// The same bar on a trace stream: ipv4_2d byte at the benchmark's own
+/// windowed setting (RHHH, eps 0.02, theta 0.05) one quarter into a window.
+TEST(ConditionedOracle, LatticeOutputOnTraceBelowPsiMatchesScan) {
+  const Hierarchy h = Hierarchy::ipv4_2d(Granularity::kByte);
+  LatticeParams lp;
+  lp.eps = 0.02;
+  lp.delta = 0.001;
+  RhhhSpaceSaving alg(h, LatticeMode::kRhhh, lp);
+  TraceGenerator gen(trace_preset("chicago16"));
+  for (int i = 0; i < 200000; ++i) alg.update(h.key_of(gen.next()));
+  ASSERT_LT(static_cast<double>(alg.stream_length()), alg.psi());
+  const double theta = 0.05;
+  const HhhSet got = alg.output(theta);
+  const HhhSet want = scan_output(
+      h, theta * static_cast<double>(alg.stream_length()), alg.correction(),
+      [&](const Prefix& q) { return alg.estimate(q); },
+      [&](std::uint32_t node, const auto& visit) {
+        alg.instance(node).for_each([&](const Key128& k, std::uint64_t up, std::uint64_t lo) {
+          visit(Prefix{node, k}, alg.scale() * static_cast<double>(up),
+                alg.scale() * static_cast<double>(lo));
+        });
+      });
+  EXPECT_GT(want.size(), 1000u);
+  expect_bitwise_equal(h, got, want);
+}
+
+/// TrieHhh outputs at a low threshold, many members deep: each member's
+/// c_hat must equal f_hi + the scans' calcPred over the members admitted
+/// before it (the trie's candidate order is internal, so its output is
+/// replayed rather than rebuilt).
+TEST(ConditionedOracle, TrieOutputMatchesScanReplay) {
+  for (const OracleHierarchy& oh : kOracleHierarchies) {
+    SCOPED_TRACE(oh.name);
+    const Hierarchy h = oh.make();
+    for (const AncestryMode mode : {AncestryMode::kFull, AncestryMode::kPartial}) {
+      TrieHhh alg(h, mode, 0.01);
+      ClusteredKeys keys(h, 13, 4);
+      for (int i = 0; i < 40000; ++i) alg.update(keys.next());
+      const HhhSet got = alg.output(0.005);
+      const double slack = static_cast<double>(alg.epoch() - 1);
+      const UpperEstimate upper = [&](const Prefix& q) {
+        const double e = alg.estimate(q);
+        return e == 0.0 ? slack : e;
+      };
+      HhhSet ref(h.size());
+      for (const HhhCandidate& c : got) {
+        const auto g = scan::best_generalized(h, c.prefix, ref);
+        const double c_hat = c.f_hi + scan::calc_pred(h, ref, g, upper);
+        ASSERT_EQ(bits_of(c.c_hat), bits_of(c_hat)) << h.format(c.prefix);
+        ref.add(c);
+      }
+      EXPECT_GT(got.size(), 10u);
+    }
   }
 }
 

@@ -19,6 +19,7 @@
 #include <csignal>
 #include <cstdint>
 #include <cstdio>
+#include <future>
 #include <string>
 #include <thread>
 #include <vector>
@@ -743,15 +744,27 @@ TEST(ObsExporter, ScrapesLiveEngineWithoutQuiescing) {
   exp.start(0);
 
   std::atomic<bool> stop{false};
+  std::promise<void> first_batch;
+  std::future<void> first_batch_published = first_batch.get_future();
   std::thread producer([&] {
     HhhEngine::Producer& p = eng.producer(0);
     Xoroshiro128 rng(7);
+    bool signalled = false;
     while (!stop.load(std::memory_order_relaxed)) {
       for (int i = 0; i < 512; ++i) p.ingest(Key128{rng(), rng()});
+      if (!signalled) {
+        p.flush();  // publish offered() before signalling
+        first_batch.set_value();
+        signalled = true;
+      }
     }
     p.flush();
   });
 
+  // Handshake: scrape only once the producer has published its first batch,
+  // so the liveness check below does not rest on the scheduler having run
+  // the producer thread by then.
+  first_batch_published.wait();
   std::uint64_t last_offered = 0;
   for (int scrape = 0; scrape < 5; ++scrape) {
     const std::string body = obs::http_get_local(exp.port(), "/metrics");

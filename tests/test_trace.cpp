@@ -3,11 +3,14 @@
 // file round-trips.
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
 #include <map>
 #include <set>
+#include <string>
 #include <vector>
 
 #include "trace/address_model.hpp"
@@ -236,7 +239,13 @@ TEST(TraceGen, GenerateBatch) {
 
 class TraceIoTest : public ::testing::Test {
  protected:
-  std::string path_ = ::testing::TempDir() + "/rhhh_trace_test.rhht";
+  // One file per test and process: ctest runs each case as its own
+  // process, in parallel, so a shared name would be clobbered mid-test.
+  std::string path_ = [] {
+    const auto* t = ::testing::UnitTest::GetInstance()->current_test_info();
+    return ::testing::TempDir() + "/rhhh_" + t->test_suite_name() + "_" + t->name() +
+           "_" + std::to_string(::getpid()) + ".rhht";
+  }();
   void TearDown() override { std::remove(path_.c_str()); }
 };
 
