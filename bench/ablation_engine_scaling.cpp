@@ -1,11 +1,12 @@
-// Ablation: sharded-engine ingest throughput vs worker count vs V.
+// Ablation: engine ingest throughput vs worker count vs V.
 //
-// W producer threads feed W worker shards (one HhhEngine, key-hash routing,
-// lossless blocking overflow) and we time end-to-end ingest -- from the
-// first push until every record has been consumed by a shard lattice. V
-// sweeps the paper's performance parameter on top: V = H updates on every
-// packet, V = 10H touches only ~10% of them, so the per-shard work drops
-// and the ring/transport share grows. Drop, backpressure and epoch
+// W producer threads feed W workers (one HhhEngine, lattice nodes dealt
+// across the workers, lossless blocking overflow) and we time end-to-end
+// ingest -- from the first push until every record has been applied. V
+// sweeps the paper's performance parameter on top: V = H ships and
+// applies every packet, V = 10H draws at the producers and ships only ~10%
+// of them, so the workers' share drops and the producers' draw dominates.
+// Drop, backpressure and epoch
 // counters from the final snapshot are part of the table (and the --json
 // mirror), so multi-core trajectories are tracked in BENCH_*.json.
 #include <cstdio>
@@ -22,7 +23,7 @@ int main(int argc, char** argv) {
   Args args = Args::parse(argc, argv);
   print_figure_header(
       "Engine scaling",
-      "Sharded engine aggregate throughput (Mpps) vs workers vs V, 2D bytes",
+      "Engine aggregate throughput (Mpps) vs workers vs V, 2D bytes",
       args);
 
   const Hierarchy h = Hierarchy::ipv4_2d(Granularity::kByte);
@@ -46,7 +47,6 @@ int main(int argc, char** argv) {
         cfg.producers = workers;
         cfg.ring_capacity = 1 << 16;
         cfg.batch = 256;
-        cfg.policy = ShardPolicy::kKeyHash;
         cfg.overflow = OverflowPolicy::kBlock;  // lossless: Mpps counts real work
         const std::unique_ptr<HhhEngine> eng = make_engine(cfg);
         eng->start();
@@ -76,8 +76,8 @@ int main(int argc, char** argv) {
   }
   std::printf(
       "\n(expected shape: aggregate Mpps grows with workers while cores last\n"
-      " [this host: %u hardware threads]; V = 10H shifts work from the shard\n"
-      " lattices to the rings, so it scales further before transport binds)\n",
+      " [this host: %u hardware threads]; V = 10H draws at the producers and\n"
+      " ships ~1 packet in 10, so producers bind before transport does)\n",
       std::thread::hardware_concurrency());
   return 0;
 }

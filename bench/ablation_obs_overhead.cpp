@@ -39,7 +39,6 @@ double engine_mpps(const std::vector<Key128>& keys, std::uint32_t workers,
   cfg.producers = workers;
   cfg.ring_capacity = 1 << 16;
   cfg.batch = 256;
-  cfg.policy = ShardPolicy::kKeyHash;
   cfg.overflow = OverflowPolicy::kBlock;  // lossless: Mpps counts real work
   cfg.telemetry = telemetry;
   cfg.metrics = reg;

@@ -159,8 +159,8 @@ int main(int argc, char** argv) {
       "\n(expected shape: core-ring Mpps flat in K -- rotation cost is one\n"
       " counter clear, not a function of history -- with memory linear in\n"
       " K+1 and trend probes linear in K; the engine panel runs a full\n"
-      " trend_snapshot every epoch, so its Mpps *includes* one K-window\n"
-      " cross-shard merge per epoch -- the price of a detection loop that\n"
+      " trend_snapshot every epoch, so its Mpps *includes* one quiesce and\n"
+      " live-window copy per epoch -- the price of a detection loop that\n"
       " watches the whole history at small epochs; poll less often or\n"
       " shrink K if ingest dominates)\n");
   return 0;

@@ -1,7 +1,8 @@
-// Sharded multi-core ingest with HhhEngine: two producer threads fan a
-// planted-attack trace across four worker shards; an epoch snapshot merges
-// the per-shard RHHH lattices into one network-wide view mid-stream and
-// again at the end -- the live-query pattern a collector daemon would run.
+// Multi-core ingest with HhhEngine: two producer threads draw RHHH's levels
+// for a planted-attack trace and ship the survivors to four workers, each
+// applying the lattice nodes it owns; an epoch snapshot copies the one
+// network-wide lattice mid-stream and again at the end -- the live-query
+// pattern a collector daemon would run.
 //
 // With --archive DIR the engine additionally rotates window epochs and its
 // background archiver persists every sealed window to the durable store at
@@ -129,9 +130,9 @@ int main(int argc, char** argv) {
   // ledger to the /health route is safe.
   exporter.set_health_source(eng->health());
   eng->start();
-  std::printf("engine: %u producers -> %u shards, %s routing, %s overflow\n\n",
-              eng->producers(), eng->workers(), to_string(cfg.policy).data(),
-              to_string(cfg.overflow).data());
+  std::printf("engine: %u producers -> %u workers, lattice nodes dealt per worker, "
+              "%s overflow\n\n",
+              eng->producers(), eng->workers(), to_string(cfg.overflow).data());
 
   // Two ingest threads: mixed background traffic with a 20% flood toward
   // one /24 (scattered sources -- only the destination aggregate is heavy).
@@ -155,8 +156,8 @@ int main(int argc, char** argv) {
     });
   }
 
-  // A mid-stream epoch: quiesce, merge the four shard lattices, resume --
-  // the producers keep running across the snapshot.
+  // A mid-stream epoch: quiesce, copy the live lattice, resume -- the
+  // producers keep running across the snapshot.
   std::this_thread::sleep_for(std::chrono::milliseconds(50));
   print_view(*eng, eng->snapshot(), theta);
 
@@ -168,7 +169,7 @@ int main(int argc, char** argv) {
   print_view(*eng, final_snap, theta);
 
   const rhhh::EngineStats& s = final_snap.stats();
-  std::printf("\nper-shard consumed:");
+  std::printf("\nper-worker consumed (packets):");
   for (std::uint32_t w = 0; w < eng->workers(); ++w) {
     std::printf(" [%u]=%llu", w,
                 static_cast<unsigned long long>(s.per_worker_consumed[w]));
@@ -177,8 +178,8 @@ int main(int argc, char** argv) {
               static_cast<unsigned long long>(s.backpressure_waits));
   std::printf(
       "\nThe victim /24's flood is assembled across both producers and all\n"
-      "four shards; no single shard needs to see the whole stream, and the\n"
-      "epoch merge corrects every estimate for the network-wide N.\n");
+      "four workers into one lattice: each worker updates only its own\n"
+      "nodes, and every packet -- sampled out or not -- counts in N.\n");
 
   if (!archive_dir.empty()) {
     // Cold read-back: reopen the store a collector restart would see and

@@ -15,7 +15,6 @@
 #include <utility>
 #include <vector>
 
-#include "engine/shard_router.hpp"
 #include "hhh/lattice_hhh.hpp"
 #include "hhh/trie_hhh.hpp"
 
@@ -135,7 +134,7 @@ struct ArchiveConfig {
 /// EngineConfig::telemetry is on -- with telemetry off every health hook is
 /// the same single null test as the rest of the layer.
 struct HealthConfig {
-  /// When true, each rotation probes the just-sealed shard lattices and
+  /// When true, each rotation probes the just-sealed window lattice and
   /// stamps an AccuracyCertificate (exported as rhhh_health_* gauges and
   /// served by the exporter's /health route). Probe cost is O(nodes x
   /// counters) per rotation -- control plane only, never the packet path.
@@ -155,22 +154,26 @@ struct HealthConfig {
   }
 };
 
-/// Configuration of the sharded multi-core ingest engine: a MonitorConfig
-/// restricted to the (mergeable) lattice algorithms, plus the fan-out
+/// Configuration of the node-partitioned multi-core ingest engine: a
+/// MonitorConfig restricted to the lattice algorithms, plus the fan-out
 /// topology. See HhhEngine (engine/engine.hpp) for the moving parts and
 /// README "Architecture" for when to choose HhhMonitor vs HhhEngine.
 struct EngineConfig {
   MonitorConfig monitor{};            ///< hierarchy + lattice parameters
-  std::uint32_t workers = 4;          ///< W shard (consumer) threads
+  /// W worker (consumer) threads; the H lattice nodes are dealt among
+  /// them, so workers beyond H own no nodes and stay idle.
+  std::uint32_t workers = 4;
   std::uint32_t producers = 1;        ///< M ingest handles / threads
-  std::size_t ring_capacity = 1 << 14;  ///< slots per producer×worker ring
-  std::size_t batch = 64;             ///< producer-side flush batch size
-  ShardPolicy policy = ShardPolicy::kKeyHash;
+  std::size_t ring_capacity = 1 << 14;  ///< records per producer×worker ring
+  /// Packets a producer draws at once (its sample block) and records per
+  /// pushed ring batch.
+  std::size_t batch = 64;
   OverflowPolicy overflow = OverflowPolicy::kBlock;
 
   // -- windowed change detection (HhhEngine::window_snapshot) ---------------
-  /// >0: a window epoch closes once this many records have been CONSUMED
-  /// into shard lattices since the last boundary. The budget basis is
+  /// >0: a window epoch closes once this many packets have been CONSUMED
+  /// (credited by records that reached the lattice) since the last
+  /// boundary. The budget basis is
   /// consumed-only by contract: drop-tail drops are attributed to the
   /// window they fell in (they fold into its stream length N) but do NOT
   /// spend the budget, so a saturated ring can never silently shorten
@@ -189,15 +192,15 @@ struct EngineConfig {
   /// clock thread's 200us polling timeslice (the pre-cooperative baseline;
   /// kept as an escape hatch and for drift A/B measurement).
   bool cooperative_rotation = true;
-  /// Sealed windows each shard retains (>= 1). 1 is the classic
+  /// Sealed windows the engine retains (>= 1). 1 is the classic
   /// live/previous pair; larger K unlocks HhhEngine::trend_snapshot()'s
-  /// k-epoch growth curves and sustained-ramp alarms at the cost of K
-  /// extra lattices per shard.
+  /// k-epoch growth curves and sustained-ramp alarms at the cost of two
+  /// lattices per retained window (its ring slot and its shared copy).
   std::size_t history_depth = 1;
 
   // -- durable window store (src/store/, HhhEngine background archiver) -----
-  /// When enabled (non-empty dir), every sealed window is merged
-  /// network-wide at rotation, handed to a background archiver thread
+  /// When enabled (non-empty dir), every sealed window's shared copy is
+  /// handed at rotation to a background archiver thread
   /// through a bounded queue, and appended to the on-disk segment log --
   /// rotation never blocks on I/O. Requires a window clock or manual
   /// rotate_epoch() calls to produce sealed windows at all.
@@ -206,7 +209,7 @@ struct EngineConfig {
   // -- always-on telemetry (src/obs/) ---------------------------------------
   /// When true (the default -- the layer costs <3% update throughput, see
   /// bench/ablation_obs_overhead), the engine registers latency histograms
-  /// (push/pop batch, quiesce, rotation, snapshot/trend merge), occupancy
+  /// (push/pop batch, quiesce, rotation, snapshot/trend copy), occupancy
   /// and queue-depth gauges, and EngineStats counter mirrors against
   /// `metrics` (the process-global registry when null), and records
   /// rotation/quiesce/seal/archive events into the global TraceRing.
@@ -224,7 +227,7 @@ struct EngineConfig {
 
 class HhhEngine;  // engine/engine.hpp
 
-/// Builds a sharded engine from the front-door config (defined in
+/// Builds a multi-core engine from the front-door config (defined in
 /// engine/engine.cpp). Throws std::invalid_argument for trie algorithms or
 /// a degenerate topology (0 workers/producers/batch).
 [[nodiscard]] std::unique_ptr<HhhEngine> make_engine(const EngineConfig& cfg);

@@ -1,5 +1,5 @@
 // Epoch-window rotation primitives shared by the single-threaded
-// WindowedHhhMonitor (core/windowed.hpp) and the sharded engine's windowed
+// WindowedHhhMonitor (core/windowed.hpp) and the multi-core engine's windowed
 // snapshot paths (engine/engine.hpp): a ring of one live plus K sealed
 // same-configuration HHH instances that rotates at epoch boundaries, plus
 // the change-detection queries over those windows -- the two-epoch
@@ -14,6 +14,7 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <limits>
 #include <memory>
 #include <utility>
@@ -80,19 +81,27 @@ class WindowRing {
   explicit WindowRing(std::vector<std::unique_ptr<Alg>> slots)
       : slots_(std::move(slots)) {}
 
-  /// Builds depth + 1 instances via `make(slot_index)`.
+  /// Builds slot 0 now via `make(0)` and every other slot when the first
+  /// rotation reaches it, via `make(slot_index)`: a ring that never rotates
+  /// holds one instance, not depth + 1. `make` is kept for those later
+  /// calls, so whatever it captures must outlive the ring.
   template <class Factory>
-  WindowRing(std::size_t depth, Factory&& make) {
-    slots_.reserve(depth + 1);
-    for (std::size_t s = 0; s <= depth; ++s) slots_.push_back(make(s));
+  WindowRing(std::size_t depth, Factory&& make)
+      : make_(std::forward<Factory>(make)), slots_(depth + 1) {
+    slots_[0] = make_(0);
   }
 
   /// Seal the live window and start a fresh one: the live instance becomes
-  /// the newest sealed window and the oldest slot is cleared for reuse.
-  /// O(counters) for the clear, no allocation.
+  /// the newest sealed window and the next slot becomes live -- built on
+  /// its first use, cleared for reuse after that (O(counters), no
+  /// allocation). A fresh instance and a cleared one are in the same state.
   void rotate() {
     live_ = (live_ + 1) % slots_.size();
-    slots_[live_]->clear();
+    if (slots_[live_] == nullptr) {
+      slots_[live_] = make_(live_);
+    } else {
+      slots_[live_]->clear();
+    }
     ++epochs_;
   }
 
@@ -146,7 +155,8 @@ class WindowRing {
     return (live_ + n - 1 - age) % n;
   }
 
-  std::vector<std::unique_ptr<Alg>> slots_;
+  std::function<std::unique_ptr<Alg>(std::size_t)> make_;  ///< lazy slot builder
+  std::vector<std::unique_ptr<Alg>> slots_;  ///< null until first used
   std::size_t live_ = 0;
   std::uint64_t epochs_ = 0;
 };

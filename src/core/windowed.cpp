@@ -18,11 +18,14 @@ WindowedHhhMonitor::WindowedHhhMonitor(MonitorConfig cfg, std::uint64_t epoch_pa
   // One instance per ring slot with independent randomness; slot 0 keeps
   // the config's own seed so depth 1 reproduces the classic live/sealed
   // pair byte for byte.
-  ring_ = WindowRing<HhhAlgorithm>(history_depth, [&](std::size_t slot) {
-    MonitorConfig slot_cfg = cfg_;
-    slot_cfg.seed = cfg_.seed + slot;
-    return make_algorithm(*hierarchy_, slot_cfg);
-  });
+  // The ring keeps the factory for its lazily built slots: capture by value
+  // (the hierarchy lives on the heap, so a moved monitor keeps it valid).
+  ring_ = WindowRing<HhhAlgorithm>(
+      history_depth, [cfg = cfg_, h = hierarchy_.get()](std::size_t slot) {
+        MonitorConfig slot_cfg = cfg;
+        slot_cfg.seed = cfg.seed + slot;
+        return make_algorithm(*h, slot_cfg);
+      });
 }
 
 void WindowedHhhMonitor::maybe_rotate() {

@@ -47,14 +47,15 @@ std::string engine_stats_json(const EngineStats& s) {
 
 // ------------------------------------------------------------- Producer ----
 
-HhhEngine::Producer::Producer(HhhEngine* eng, std::uint32_t id)
+HhhEngine::Producer::Producer(HhhEngine* eng, std::uint32_t id, std::uint64_t seed)
     : eng_(eng),
       id_(id),
       batch_(eng->cfg_.batch),
-      // All producers share the hash salt (one key -> one shard engine-wide);
-      // the round-robin cursor is staggered by producer id.
-      router_(eng->cfg_.policy, eng->workers(), eng->params_.seed, id),
-      buf_(eng->workers()) {
+      sampler_(eng->ring_.live().make_sampler()),
+      block_(eng->cfg_.batch),
+      buf_(eng->workers()),
+      buf_packets_(eng->workers(), 0) {
+  sampler_.reseed(seed);
   for (auto& b : buf_) b.reserve(batch_);
 }
 
@@ -62,7 +63,50 @@ void HhhEngine::Producer::ingest(const PacketRecord& p) {
   ingest(eng_->hierarchy().key_of(p));
 }
 
+void HhhEngine::Producer::sample_block() {
+  const std::size_t n = fill_;
+  fill_ = 0;
+  offered_local_ += n;
+  const std::size_t m = sampler_.draw(n);
+  const std::uint64_t* pk = sampler_.picks();
+  const std::uint32_t* owner = eng_->owner_.data();
+  const std::uint32_t active = eng_->active_workers_;
+  std::size_t next = 0;  // first packet of the block not yet accounted for
+  for (std::size_t j = 0; j < m; ++j) {
+    const std::size_t pkt = BlockSampler::packet_of(pk[j]);
+    const std::uint32_t node = BlockSampler::node_of(pk[j]);
+    // A packet's first survivor carries the packet itself plus every
+    // sampled-out packet before it (r > 1 can give one packet two).
+    std::uint32_t packets = 0;
+    if (pkt >= next) {
+      packets = static_cast<std::uint32_t>(credit_ + (pkt - next) + 1);
+      credit_ = 0;
+      next = pkt + 1;
+    }
+    if (node != BlockSampler::kAllNodes) {
+      emit(owner[node], block_[pkt], node, packets);
+    } else {
+      // Every node: one copy per active worker, the packets on one of them.
+      for (std::uint32_t w = 0; w < active; ++w) {
+        emit(w, block_[pkt], node, w == fan_credit_ ? packets : 0);
+      }
+      fan_credit_ = fan_credit_ + 1 == active ? 0 : fan_credit_ + 1;
+    }
+  }
+  credit_ += n - next;
+  // Records carry 32-bit packet counts; a credit that long (V ~ 2^32) goes
+  // out on its own long before it could overflow one.
+  if (credit_ >= (std::uint64_t{1} << 31)) emit_credit();
+}
+
+void HhhEngine::Producer::emit_credit() {
+  emit(0, Key128{}, BlockSampler::kNoNode, static_cast<std::uint32_t>(credit_));
+  credit_ = 0;
+}
+
 void HhhEngine::Producer::flush() {
+  if (fill_ != 0) sample_block();
+  if (credit_ != 0) emit_credit();
   for (std::uint32_t w = 0; w < eng_->workers(); ++w) flush_worker(w);
 }
 
@@ -75,21 +119,20 @@ void HhhEngine::Producer::flush_worker(std::uint32_t w) {
     offered_local_ = 0;
   }
   if (b.empty()) return;
-  // Telemetry probe: two clock reads per batch (~64 keys), recorded only
-  // when the engine is instrumented -- the compiled-out baseline is a
+  // Telemetry probe: two clock reads per batch (~64 records), recorded
+  // only when the engine is instrumented -- the compiled-out baseline is a
   // single pointer test.
   const std::uint64_t obs_t0 =
       eng_->obs_.push_ns != nullptr ? obs::now_ns() : 0;
-  SpscRing<Key128>& ring = eng_->ring(id_, w);
+  SpscRing<SampledUpdate>& ring = eng_->ring(id_, w);
   const std::size_t idx = id_ * eng_->workers() + w;
-  const Key128* data = b.data();
+  const SampledUpdate* data = b.data();
   std::size_t left = b.size();
-  std::size_t pushed = 0;
+  std::uint64_t dropped = 0;
   while (left != 0) {
     const std::size_t sent = ring.try_push_n(data, left);
     data += sent;
     left -= sent;
-    pushed += sent;
     if (left == 0) break;
     // Lossless only while workers are consuming; a stopped engine turns
     // kBlock into drop-tail rather than spinning forever.
@@ -98,21 +141,25 @@ void HhhEngine::Producer::flush_worker(std::uint32_t w) {
     // consumer is being joined.
     if (eng_->cfg_.overflow == OverflowPolicy::kDropTail ||
         !eng_->running_.load(std::memory_order_acquire)) {
+      // The dropped tail takes the packets it accounts for with it.
+      for (std::size_t i = 0; i < left; ++i) dropped += data[i].packets;
       // order: relaxed -- drop counter; summed exactly under quiesce only.
-      eng_->ring_dropped_[idx]->fetch_add(left, std::memory_order_relaxed);
+      eng_->ring_dropped_[idx]->fetch_add(dropped, std::memory_order_relaxed);
       break;
     }
     // order: relaxed -- backpressure-retry counter, diagnostic only.
     eng_->backpressure_[id_]->fetch_add(1, std::memory_order_relaxed);
     std::this_thread::yield();
   }
-  if (pushed != 0) {
+  if (buf_packets_[w] != dropped) {
     // order: relaxed -- push counter; the records themselves were published
     // by the ring's release store, not by this statistic.
-    eng_->ring_pushed_[idx]->fetch_add(pushed, std::memory_order_relaxed);
+    eng_->ring_pushed_[idx]->fetch_add(buf_packets_[w] - dropped,
+                                       std::memory_order_relaxed);
   }
   if (eng_->obs_.push_ns != nullptr) eng_->obs_.push_ns->record_since(obs_t0);
   b.clear();
+  buf_packets_[w] = 0;
 }
 
 // ------------------------------------------------------------ HhhEngine ----
@@ -131,28 +178,42 @@ HhhEngine::HhhEngine(const EngineConfig& cfg)
   if (cfg.archive.enabled() && cfg.archive.queue_windows == 0) {
     throw std::invalid_argument("HhhEngine: archive queue_windows must be >= 1");
   }
-  // Throws for the (unmergeable) trie algorithms.
+  // Throws for the trie algorithms (not lattice algorithms).
   std::tie(mode_, params_) = lattice_config_of(*hierarchy_, cfg.monitor);
-  static_assert(RhhhSpaceSaving::backend_mergeable(),
-                "engine snapshots require a mergeable backend");
   static_assert(RhhhSpaceSaving::backend_loadable(),
                 "the durable store requires a reloadable backend");
 
   pop_batch_ = std::clamp<std::size_t>(cfg.batch, 1, 4096);
   sealed_drops_.assign(cfg.history_depth, 0);
   sealed_durations_ns_.assign(cfg.history_depth, 0);
+  // Every slot is the exact single-instance configuration (the engine's
+  // draws happen at the producers, so slots need no RNG streams of their
+  // own): with one producer the live lattice is byte-identical to a
+  // LatticeHhh built from the same params.
+  ring_ = WindowRing<RhhhSpaceSaving>(cfg.history_depth, [this](std::size_t) {
+    return std::make_unique<RhhhSpaceSaving>(*hierarchy_, mode_, params_);
+  });
   workers_.reserve(cfg.workers);
   for (std::uint32_t w = 0; w < cfg.workers; ++w) {
-    auto ws = std::make_unique<WorkerState>();
-    // Every ring slot gets a distinct RNG stream; all slots stay
-    // merge-compatible with every other shard by construction. The salt
-    // spacing keeps depth-1 rings byte-identical to the original
-    // live/sealed pair (slots 0x5eed0000 + w and 0x5eed2000 + w).
-    ws->ring = WindowRing<RhhhSpaceSaving>(cfg.history_depth, [&](std::size_t slot) {
-      return make_shard_lattice(0x5eed0000ULL + 0x2000ULL * slot + w);
-    });
-    workers_.push_back(std::move(ws));
+    workers_.push_back(std::make_unique<WorkerState>());
   }
+  // Deal the nodes in level order, snake-wise: 0..W-1, W-1..0, 0..W-1, ...
+  // Per-worker counts differ by at most one, and each worker gets nodes of
+  // every level band. Workers past H get none.
+  const std::uint32_t H = ring_.live().H();
+  owner_.assign(H, 0);
+  std::uint32_t dealt = 0;
+  for (int level = 0; level < hierarchy_->num_levels(); ++level) {
+    for (const std::uint32_t node : hierarchy_->nodes_at_level(level)) {
+      const std::uint32_t round = dealt / cfg.workers;
+      const std::uint32_t pos = dealt % cfg.workers;
+      const std::uint32_t w = round % 2 == 0 ? pos : cfg.workers - 1 - pos;
+      owner_[node] = w;
+      workers_[w]->nodes.push_back(node);
+      ++dealt;
+    }
+  }
+  active_workers_ = std::min(cfg.workers, H);
   const std::size_t n_rings = std::size_t{cfg.producers} * cfg.workers;
   rings_.reserve(n_rings);
   ring_dropped_.reserve(n_rings);
@@ -160,7 +221,7 @@ HhhEngine::HhhEngine(const EngineConfig& cfg)
   ring_popped_.reserve(n_rings);
   for (std::uint32_t p = 0; p < cfg.producers; ++p) {
     for (std::uint32_t w = 0; w < cfg.workers; ++w) {
-      rings_.push_back(std::make_unique<SpscRing<Key128>>(cfg.ring_capacity));
+      rings_.push_back(std::make_unique<SpscRing<SampledUpdate>>(cfg.ring_capacity));
       ring_dropped_.push_back(std::make_unique<std::atomic<std::uint64_t>>(0));
       ring_pushed_.push_back(std::make_unique<std::atomic<std::uint64_t>>(0));
       ring_popped_.push_back(std::make_unique<std::atomic<std::uint64_t>>(0));
@@ -169,7 +230,11 @@ HhhEngine::HhhEngine(const EngineConfig& cfg)
   }
   producers_.reserve(cfg.producers);
   for (std::uint32_t p = 0; p < cfg.producers; ++p) {
-    producers_.push_back(std::unique_ptr<Producer>(new Producer(this, p)));
+    // Producer 0 draws the lattice's own stream (the single-instance
+    // equivalence); the others draw independent streams.
+    const std::uint64_t seed =
+        p == 0 ? params_.seed : mix64(params_.seed ^ (0x9d0c0000ULL + p));
+    producers_.push_back(std::unique_ptr<Producer>(new Producer(this, p, seed)));
   }
   // order: relaxed -- constructor runs single-threaded; the handoff to any
   // thread happens-before via std::thread creation in start().
@@ -216,10 +281,10 @@ void HhhEngine::bind_metrics() {
   obs_.rotation_drift_ns = &reg.histogram(
       "rhhh_engine_rotation_drift_ns",
       "budget-spent to rotation-start drift (ns, budget-driven rotations)");
-  obs_.snapshot_ns = &reg.histogram("rhhh_engine_snapshot_merge_ns",
-                                    "snapshot/window_snapshot merge time (ns)");
-  obs_.trend_ns = &reg.histogram("rhhh_engine_trend_merge_ns",
-                                 "trend_snapshot merge time (ns)");
+  obs_.snapshot_ns = &reg.histogram(
+      "rhhh_engine_snapshot_ns", "snapshot/window_snapshot quiesce + copy time (ns)");
+  obs_.trend_ns = &reg.histogram("rhhh_engine_trend_snapshot_ns",
+                                 "trend_snapshot quiesce + copy time (ns)");
   obs_.archive_q_depth = &reg.gauge("rhhh_engine_archive_queue_depth",
                                     "sealed windows queued for the archiver");
   // Counter mirrors and occupancy: gauge_fn samplers over the engine's own
@@ -237,7 +302,7 @@ void HhhEngine::bind_metrics() {
         for (const auto& p : producers_) o += static_cast<double>(p->offered());
         return o;
       },
-      "records accepted and published by producer handles");
+      "packets accepted and published by producer handles");
   own("rhhh_engine_consumed",
       [this] {
         double c = 0;
@@ -247,7 +312,8 @@ void HhhEngine::bind_metrics() {
         }
         return c;
       },
-      "records consumed into shard lattices");
+      "packets consumed, sampled-out packets included (credited by the "
+      "records that reached the lattice)");
   own("rhhh_engine_dropped",
       [this] {
         double d = 0;
@@ -257,7 +323,7 @@ void HhhEngine::bind_metrics() {
         }
         return d;
       },
-      "records dropped at full rings (kDropTail)");
+      "packets dropped at full rings (kDropTail)");
   own("rhhh_engine_backpressure_waits",
       [this] {
         double b = 0;
@@ -322,7 +388,7 @@ void HhhEngine::bind_metrics() {
         return static_cast<double>(
             trend_cache_hits_.load(std::memory_order_relaxed));
       },
-      "trend_snapshot sealed-merge cache hits");
+      "trend_snapshot polls that found the sealed windows unchanged");
   for (std::uint32_t p = 0; p < producers(); ++p) {
     for (std::uint32_t w = 0; w < workers(); ++w) {
       own("rhhh_engine_ring_occupancy{ring=\"p" + std::to_string(p) + "w" +
@@ -391,15 +457,6 @@ void HhhEngine::bind_health() {
   watchdog_ = std::make_unique<obs::StallWatchdog>(
       std::move(wcfg), std::move(sampler), std::move(stats_fn), health_.get(),
       obs_.trace, obs_.reg);
-}
-
-std::unique_ptr<RhhhSpaceSaving> HhhEngine::make_shard_lattice(
-    std::uint64_t salt) const {
-  LatticeParams lp = params_;
-  // Distinct per-shard RNG streams; merge compatibility only needs the
-  // hierarchy/mode/V/r to match, which cloning the params guarantees.
-  lp.seed = mix64(params_.seed ^ salt);
-  return std::make_unique<RhhhSpaceSaving>(*hierarchy_, mode_, lp);
 }
 
 void HhhEngine::start() {
@@ -487,14 +544,15 @@ void HhhEngine::stop() {
     if (ws->thread.joinable()) ws->thread.join();
   }
   // A producer racing stop() can slip a batch into a ring after that
-  // worker's shutdown drain saw it empty; sweep the rings once more from
-  // here (workers are joined, so this thread is the only consumer) so no
-  // accepted record is ever stranded outside consumed/dropped accounting.
-  std::vector<Key128> batch(pop_batch_);
-  for (std::uint32_t w = 0; w < workers(); ++w) {
-    while (drain_pass(w, batch) != 0) {
-    }
-  }
+  // worker's shutdown drain; sweep the backlog visible now once more from
+  // here (workers are joined, so this thread is the only consumer). The
+  // sweep is bounded like every boundary drain: a kDropTail producer that
+  // keeps flooding through stop() must not keep this thread draining.
+  std::vector<SampledUpdate> batch(pop_batch_);
+  for (std::uint32_t w = 0; w < workers(); ++w) boundary_drain(w, batch);
+  // Workers are joined: settle the lattice's stream length and update
+  // tally, so shard() reads complete counts once stopped.
+  fold_stream();
   // Retire the clock generation and take its handle while still under
   // snap_mu_ (so a concurrent start() never assigns over a joinable
   // thread), but join OUTSIDE the lock: the clock may be blocked on
@@ -574,22 +632,12 @@ void HhhEngine::archive_loop(store::WindowArchive* arch, std::uint64_t gen) {
 
 void HhhEngine::archive_one(store::WindowArchive* arch, const ArchiveItem& item) {
   try {
-    // Replay the exact cross-shard merge trend_snapshot() performs for its
-    // newest sealed window: a fresh same-configuration lattice, each shard
-    // merged in worker order (the decoded blobs reproduce the shard
-    // lattices' counter order, so the merge -- and therefore the persisted
-    // HHH sets -- are byte-identical to the in-memory view), this window's
-    // drops folded into N.
-    auto merged = make_shard_lattice(0x6e7ac000ULL ^ item.meta.epoch);
-    for (const store::Bytes& blob : item.shard_blobs) {
-      const auto shard = store::decode_window(blob.data(), blob.size(), *hierarchy_,
-                                              nullptr, &cfg_.monitor.hierarchy);
-      merged->merge(*shard);
-    }
-    if (item.meta.drops != 0) merged->advance_stream(item.meta.drops);
+    // The shared sealed window is the exact lattice trend_snapshot() hands
+    // out for this epoch (drops folded in), so the persisted HHH sets are
+    // byte-identical to the in-memory view.
     const std::uint64_t append_t0 =
         obs_.trace != nullptr ? obs::now_ns() : 0;
-    arch->append(item.meta, cfg_.monitor.hierarchy, *merged);
+    arch->append(item.meta, cfg_.monitor.hierarchy, *item.window);
     // order: relaxed -- success counter; readers that need it consistent
     // with the on-disk state reopen the store instead.
     archived_windows_.fetch_add(1, std::memory_order_relaxed);
@@ -611,33 +659,11 @@ void HhhEngine::archive_one(store::WindowArchive* arch, const ArchiveItem& item)
   }
 }
 
-void HhhEngine::enqueue_archive(std::uint64_t sealed_drop,
+void HhhEngine::enqueue_archive(std::shared_ptr<const RhhhSpaceSaving> window,
+                                std::uint64_t sealed_drop,
                                 std::uint64_t duration_ns,
                                 std::int64_t wall_start_ns,
                                 std::int64_t wall_end_ns) {
-  // A backlogged archiver (slow disk) means this window is going to be
-  // dropped anyway: check before paying for the blobs, so drops are
-  // near-free exactly when the system is already struggling. The final
-  // push re-checks under the same lock.
-  {
-    std::lock_guard<std::mutex> lk(arch_mu_);
-    if (archive_q_.size() >= cfg_.archive.queue_windows) {
-      // order: relaxed -- drop counter; the queue itself is under arch_mu_.
-      archive_queue_drops_.fetch_add(1, std::memory_order_relaxed);
-      if (obs_.trace != nullptr) {
-        // order: relaxed -- window_epochs_ stable under snap_mu_ (held).
-        obs_.trace->record(obs::TraceEvent::kArchiveDrop,
-                           static_cast<std::int64_t>(obs::now_ns()),
-                           window_epochs_.load(std::memory_order_relaxed), 0);
-      }
-      return;
-    }
-  }
-  // Workers are already ingesting the next window; the just-sealed shard
-  // windows are immutable until the next rotation, which needs snap_mu_
-  // (held here). The rotation path pays only these flat per-shard
-  // serializations -- the cross-shard merge and all I/O run on the
-  // archiver thread -- and the queue hand-off below never blocks.
   ArchiveItem item;
   // order: relaxed -- window_epochs_ is only advanced under snap_mu_, which
   // the rotation calling us holds; the value is stable here.
@@ -646,27 +672,15 @@ void HhhEngine::enqueue_archive(std::uint64_t sealed_drop,
   item.meta.wall_end_ns = wall_end_ns;
   item.meta.duration_ns = duration_ns;
   item.meta.drops = sealed_drop;
-  item.shard_blobs.reserve(workers_.size());
-  std::uint64_t n = sealed_drop;
-  std::uint64_t updates = 0;
-  for (const auto& ws : workers_) {
-    const RhhhSpaceSaving& shard = ws->ring.sealed(0);
-    n += shard.stream_length();
-    updates += shard.updates_performed();
-    // Each blob carries its own shard's stream counters, so the decoded
-    // instances merge exactly like the live shard lattices would.
-    store::WindowMeta shard_meta = item.meta;
-    shard_meta.stream_length = shard.stream_length();
-    shard_meta.updates = shard.updates_performed();
-    item.shard_blobs.push_back(
-        store::encode_window(shard_meta, cfg_.monitor.hierarchy, shard));
-  }
-  item.meta.stream_length = n;
-  item.meta.updates = updates;
+  item.meta.stream_length = window->stream_length();
+  item.meta.updates = window->updates_performed();
+  item.window = std::move(window);
   {
     std::lock_guard<std::mutex> lk(arch_mu_);
     if (archive_q_.size() >= cfg_.archive.queue_windows) {
-      // order: relaxed -- drop counter (same as the pre-check above).
+      // A backlogged archiver (slow disk): drop this window and count it;
+      // the rotation never waits.
+      // order: relaxed -- drop counter; the queue itself is under arch_mu_.
       archive_queue_drops_.fetch_add(1, std::memory_order_relaxed);
       if (obs_.trace != nullptr) {
         obs_.trace->record(obs::TraceEvent::kArchiveDrop,
@@ -683,38 +697,55 @@ void HhhEngine::enqueue_archive(std::uint64_t sealed_drop,
   arch_cv_.notify_one();
 }
 
-std::size_t HhhEngine::drain_pass(std::uint32_t w, std::vector<Key128>& batch) {
+std::uint64_t HhhEngine::consume(std::uint32_t p, std::uint32_t w,
+                                 const SampledUpdate* batch, std::size_t n) {
   WorkerState& ws = *workers_[w];
-  RhhhSpaceSaving& lattice = ws.ring.live();
+  // Stages 2-3 of the lattice update on this worker's nodes only: no other
+  // worker touches them, so the shared live lattice needs no lock.
+  ws.unfolded_updates += ring_.live().apply(batch, n, ws.nodes);
+  std::uint64_t packets = 0;
+  for (std::size_t i = 0; i < n; ++i) packets += batch[i].packets;
+  ws.unfolded_packets += packets;
+  // order: relaxed x2 -- pop and consumed counters; record visibility came
+  // from the ring, and exact totals are read under quiesce only.
+  ring_popped_[p * workers_.size() + w]->fetch_add(packets, std::memory_order_relaxed);
+  ws.consumed.fetch_add(packets, std::memory_order_relaxed);
+  return packets;
+}
+
+HhhEngine::Drained HhhEngine::drain_pass(std::uint32_t w,
+                                         std::vector<SampledUpdate>& batch) {
   // Telemetry probe: one clock read per pass, recorded only for passes that
   // consumed something (idle spins would swamp the histogram with noise).
   const std::uint64_t obs_t0 = obs_.pop_ns != nullptr ? obs::now_ns() : 0;
-  std::size_t total = 0;
+  Drained d;
   for (std::uint32_t p = 0; p < producers(); ++p) {
     const std::size_t n = ring(p, w).try_pop_n(batch.data(), batch.size());
     if (n == 0) continue;
-    // Whole popped batches feed the staged LatticeHhh pipeline (block-RNG,
-    // survivor compaction, prefetched apply) -- state remains byte-identical
-    // to per-record update() calls by the update_batch contract.
-    lattice.update_batch(batch.data(), n);
-    // order: relaxed -- pop counter; record visibility came from the ring.
-    ring_popped_[p * workers_.size() + w]->fetch_add(n, std::memory_order_relaxed);
-    total += n;
+    d.packets += consume(p, w, batch.data(), n);
+    d.records += n;
   }
-  // order: relaxed -- consumed counter; exact only under quiesce.
-  if (total != 0) {
-    ws.consumed.fetch_add(total, std::memory_order_relaxed);
+  if (d.records != 0) {
     if (obs_.pop_ns != nullptr) obs_.pop_ns->record_since(obs_t0);
     // Batching efficacy: how full each productive drain pass ran (idle
     // passes are skipped for the same reason pop_ns skips them).
-    if (obs_.batch_fill != nullptr) obs_.batch_fill->record(total);
+    if (obs_.batch_fill != nullptr) obs_.batch_fill->record(d.records);
   }
-  return total;
+  return d;
+}
+
+void HhhEngine::fold_stream() {
+  RhhhSpaceSaving& live = ring_.live();
+  for (const auto& ws : workers_) {
+    live.advance_stream(ws->unfolded_packets, ws->unfolded_updates);
+    ws->unfolded_packets = 0;
+    ws->unfolded_updates = 0;
+  }
 }
 
 void HhhEngine::worker_loop(std::uint32_t w) {
   WorkerState& ws = *workers_[w];
-  std::vector<Key128> batch(pop_batch_);
+  std::vector<SampledUpdate> batch(pop_batch_);
   std::uint64_t acked = 0;
   // Cooperative rotation state, all thread-local so non-windowed engines
   // pay nothing past two immutable bools. `metering` (packet budget
@@ -737,9 +768,9 @@ void HhhEngine::worker_loop(std::uint32_t w) {
       if (!running_.load(std::memory_order_relaxed)) break;
       std::this_thread::sleep_for(std::chrono::microseconds(100));
     }
-    const std::size_t got = drain_pass(w, batch);
-    if (metering && got != 0) meter_consumed(got);
-    if (cooperative && got != 0 && !claimed && budget_due()) {
+    const Drained got = drain_pass(w, batch);
+    if (metering && got.packets != 0) meter_consumed(got.packets);
+    if (cooperative && got.records != 0 && !claimed && budget_due()) {
       // Amortized cooperative check: one relaxed load + compare per batch
       // (plus one clock read when a wall budget is configured), so the
       // per-record update stays O(1). The budget is spent and unclaimed:
@@ -769,7 +800,7 @@ void HhhEngine::worker_loop(std::uint32_t w) {
     if (e > acked) {
       // Epoch boundary: consume exactly the backlog visible in each ring at
       // this instant, then ack and park until the coordinator is done with
-      // this shard's lattices (merging, or rotating the window pair).
+      // the lattice (copying, or rotating the window ring).
       boundary_drain(w, batch);
       std::unique_lock<std::mutex> lk(ctl_mu_);
       ws.epoch_acked = e;
@@ -784,50 +815,38 @@ void HhhEngine::worker_loop(std::uint32_t w) {
       });
       continue;
     }
-    if (got == 0) {
-      // order: acquire -- pairs with stop()'s acq_rel exchange; observing
-      // the stop must also observe any record a producer pushed before it
-      // observed the stop (the final drain below must not miss them).
-      if (!running_.load(std::memory_order_acquire)) {
-        // Shutdown: consume everything still in flight, then exit.
-        while (drain_pass(w, batch) != 0) {
-        }
-        return;
-      }
-      std::this_thread::yield();
+    // Checked every pass, not only when idle: producers that keep the
+    // rings non-empty through stop() must not keep this worker running.
+    // order: acquire -- pairs with stop()'s acq_rel exchange; observing
+    // the stop must also observe any record a producer pushed before it
+    // observed the stop (the final drain below must not miss them).
+    if (!running_.load(std::memory_order_acquire)) {
+      // Shutdown: consume the backlog in flight now, then exit (bounded,
+      // so producers still pushing cannot hold the worker here either).
+      boundary_drain(w, batch);
+      return;
     }
+    if (got.records == 0) std::this_thread::yield();
   }
 }
 
-void HhhEngine::boundary_drain(std::uint32_t w, std::vector<Key128>& batch) {
+void HhhEngine::boundary_drain(std::uint32_t w, std::vector<SampledUpdate>& batch) {
   // Bounding the drain by the observed size keeps quiesce terminating even
   // while producers keep pushing -- later arrivals simply belong to the
   // next epoch.
-  WorkerState& ws = *workers_[w];
-  RhhhSpaceSaving& lattice = ws.ring.live();
-  std::size_t drained = 0;
+  std::uint64_t drained = 0;
   for (std::uint32_t p = 0; p < producers(); ++p) {
-    SpscRing<Key128>& r = ring(p, w);
+    SpscRing<SampledUpdate>& r = ring(p, w);
     std::size_t left = r.size_approx();
-    std::uint64_t popped = 0;
     while (left != 0) {
       const std::size_t n =
           r.try_pop_n(batch.data(), std::min(batch.size(), left));
       if (n == 0) break;
-      lattice.update_batch(batch.data(), n);
-      // order: relaxed -- consumed counter (see drain_pass).
-      ws.consumed.fetch_add(n, std::memory_order_relaxed);
-      popped += n;
+      drained += consume(p, w, batch.data(), n);
       left -= n;
     }
-    if (popped != 0) {
-      // order: relaxed -- pop counter (see drain_pass).
-      ring_popped_[p * workers_.size() + w]->fetch_add(
-          popped, std::memory_order_relaxed);
-      drained += popped;
-    }
   }
-  // Boundary-drained records reached the live lattice, so they spend the
+  // Boundary-drained packets reached the live lattice, so they spend the
   // packet budget like any consumed batch (the consumed-only basis). At a
   // rotation boundary the decrement lands before this worker's ack -- and
   // therefore before the budget reset, which runs only once every worker
@@ -836,7 +855,7 @@ void HhhEngine::boundary_drain(std::uint32_t w, std::vector<Key128>& batch) {
   if (drained != 0 && cfg_.epoch_packets > 0) meter_consumed(drained);
 }
 
-void HhhEngine::meter_consumed(std::size_t n) {
+void HhhEngine::meter_consumed(std::uint64_t n) {
   // order: relaxed -- the countdown is budget bookkeeping, not a
   // synchronization point: rotation paths re-check under snap_mu_ before
   // acting, and the reset inside the quiesced rotation cannot race a
@@ -887,7 +906,7 @@ bool HhhEngine::budget_due() {
 }
 
 bool HhhEngine::try_rotate_cooperative(std::uint32_t w,
-                                       std::vector<Key128>& batch,
+                                       std::vector<SampledUpdate>& batch,
                                        std::uint64_t& acked) {
   // NEVER block on snap_mu_ here: a control op holding it may be waiting
   // for this very worker's quiesce ack. On a miss the worker keeps the
@@ -1005,7 +1024,7 @@ EngineStats HhhEngine::stats() const { return collect_stats(); }
 
 template <class Fn>
 std::uint64_t HhhEngine::quiesced(Fn&& fn, std::uint32_t self,
-                                  std::vector<Key128>* self_batch) {
+                                  std::vector<SampledUpdate>* self_batch) {
   // order: relaxed -- epoch_req_ is only advanced under snap_mu_ (held by
   // every caller), so this read-modify-write cannot race another request.
   const std::uint64_t e = epoch_req_.load(std::memory_order_relaxed) + 1;
@@ -1053,10 +1072,13 @@ std::uint64_t HhhEngine::quiesced(Fn&& fn, std::uint32_t self,
     epoch_req_.store(e, std::memory_order_relaxed);
     epoch_resume_.store(e, std::memory_order_relaxed);
   }
+  // Every worker is parked past its boundary drain (or gone): the lattice's
+  // N and update tally catch up with what the workers consumed.
+  fold_stream();
   fn();
   if (live) {
-    // Workers park inside ctl_cv_.wait, so everything fn() did to the shard
-    // lattices happens-before their wakeup via this mutex hand-off.
+    // Workers park inside ctl_cv_.wait, so everything fn() did to the
+    // lattice happens-before their wakeup via this mutex hand-off.
     // order: relaxed -- written and read under ctl_mu_; the mutex is the
     // happens-before edge, not the atomic.
     std::lock_guard<std::mutex> lk(ctl_mu_);
@@ -1069,27 +1091,25 @@ std::uint64_t HhhEngine::quiesced(Fn&& fn, std::uint32_t self,
 EngineSnapshot HhhEngine::snapshot() {
   std::lock_guard<std::mutex> snap_lk(snap_mu_);
   const obs::ScopedTimer obs_t(obs_.snapshot_ns);
-  std::unique_ptr<RhhhSpaceSaving> merged;
+  std::unique_ptr<RhhhSpaceSaving> live;
   EngineStats s;
   const std::uint64_t e = quiesced([&] {
-    // order: relaxed -- epoch_req_ only changes under snap_mu_ (held).
-    merged = make_shard_lattice(0x6e7a9000ULL ^
-                                epoch_req_.load(std::memory_order_relaxed));
-    for (const auto& ws : workers_) merged->merge(ws->ring.live());
+    live = std::make_unique<RhhhSpaceSaving>(ring_.live());
     s = collect_stats();
     // A dropped record was still offered on the wire: fold drops into N so
     // thresholds and slack terms see the full stream, exactly like
     // DistributedMeasurement::stop() does.
-    if (s.dropped != 0) merged->advance_stream(s.dropped);
+    if (s.dropped != 0) live->advance_stream(s.dropped);
   });
   if (obs_.trace != nullptr) {
     obs_.trace->record(obs::TraceEvent::kSnapshot,
                        static_cast<std::int64_t>(obs::now_ns()), e, 0);
   }
-  return EngineSnapshot(std::move(merged), std::move(s), e);
+  return EngineSnapshot(std::move(live), std::move(s), e);
 }
 
-void HhhEngine::rotate_locked(std::uint32_t self, std::vector<Key128>* self_batch,
+void HhhEngine::rotate_locked(std::uint32_t self,
+                              std::vector<SampledUpdate>* self_batch,
                               std::uint64_t* self_acked) {
   const std::uint64_t obs_t0 = obs_.rotation_ns != nullptr ? obs::now_ns() : 0;
   // Drift metering: a budget-driven rotation measures rotation-start minus
@@ -1126,14 +1146,14 @@ void HhhEngine::rotate_locked(std::uint32_t self, std::vector<Key128>* self_batc
       std::chrono::system_clock::now().time_since_epoch().count();
   const std::uint64_t e = quiesced(
       [&] {
-    for (auto& ws : workers_) ws->ring.rotate();
+    ring_.rotate();
     std::uint64_t d = 0;
     // order: relaxed -- workers are parked (quiesced), so the drop counters
     // are stable; the ctl_mu_ hand-off already ordered their last writes.
     for (const auto& dr : ring_dropped_) d += dr->load(std::memory_order_relaxed);
     // Drops since the last boundary happened while the just-sealed window
     // was live: attribute them to it. The per-window drop ring ages in
-    // lockstep with the shard rings (newest first, oldest falls off), and
+    // lockstep with the window ring (newest first, oldest falls off), and
     // the duration ring tracks how long each window was live (the
     // wall-clock mode's duration-weighted baselines and archive metadata).
     sealed_drop = d - win_drops_base_;
@@ -1169,23 +1189,25 @@ void HhhEngine::rotate_locked(std::uint32_t self, std::vector<Key128>* self_batc
   // A rotating worker must not re-park at the boundary it just drove.
   if (self_acked != nullptr) *self_acked = e;
   win_started_wall_ns_ = wall_end_ns;
-  // The sealed-window set changed: cached trend merges are stale.
-  trend_cache_.clear();
-  trend_cache_epoch_ = ~std::uint64_t{0};
+  // The workers have resumed into the fresh window; the just-sealed slot
+  // stays immutable until the next rotation (which needs snap_mu_, held
+  // here). Copy it once, drops folded in, into the shared window every
+  // reader of this epoch uses -- control-plane time only.
+  auto sealed = std::make_unique<RhhhSpaceSaving>(ring_.sealed(0));
+  if (sealed_drop != 0) sealed->advance_stream(sealed_drop);
+  std::shared_ptr<const RhhhSpaceSaving> window = std::move(sealed);
+  sealed_.insert(sealed_.begin(), window);
+  if (sealed_.size() > cfg_.history_depth) sealed_.pop_back();
   // order: release -- pairs with window_epochs()'s acquire load: a poller
   // that observes rotation N also observes the sealed drop/duration rings
   // written above.
   window_epochs_.fetch_add(1, std::memory_order_release);
-  // Archiving runs after the workers resumed: the merge + queue hand-off
-  // cost control-plane time only, and never touch the disk (the archiver
-  // thread owns all I/O).
+  // The queue hand-off never touches the disk (the archiver thread owns
+  // all I/O).
   if (archive_ != nullptr) {
-    enqueue_archive(sealed_drop, duration_ns, wall_start_ns, wall_end_ns);
+    enqueue_archive(std::move(window), sealed_drop, duration_ns, wall_start_ns,
+                    wall_end_ns);
   }
-  // Certificate stamping shares enqueue_archive()'s contract: the workers
-  // have resumed into the fresh window, but the just-sealed shard windows
-  // stay immutable until the next rotation (which needs snap_mu_, held
-  // here) -- so probing them costs control-plane time only.
   if (health_ != nullptr) {
     // order: relaxed -- just bumped under snap_mu_ (held); stable here.
     stamp_certificate(window_epochs_.load(std::memory_order_relaxed),
@@ -1211,40 +1233,36 @@ void HhhEngine::rotate_epoch() {
 
 void HhhEngine::stamp_certificate(std::uint64_t sealed_epoch,
                                   std::uint64_t sealed_drop) {
-  std::vector<const RhhhSpaceSaving*> shards;
-  shards.reserve(workers_.size());
-  for (const auto& ws : workers_) shards.push_back(&ws->ring.sealed(0));
-  health_->stamp(obs::certify_window(
-      shards, sealed_epoch, sealed_drop,
-      static_cast<std::int64_t>(obs::now_ns())));
+  // The ring slot, not the shared copy: certify_window() folds the drops
+  // into N itself. Same counters either way.
+  health_->stamp(obs::certify_window({&ring_.sealed(0)}, sealed_epoch, sealed_drop,
+                                     static_cast<std::int64_t>(obs::now_ns())));
+}
+
+std::unique_ptr<RhhhSpaceSaving> HhhEngine::copy_live(EngineStats& s,
+                                                     std::uint64_t& drops) {
+  std::unique_ptr<RhhhSpaceSaving> live;
+  quiesced([&] {
+    live = std::make_unique<RhhhSpaceSaving>(ring_.live());
+    s = collect_stats();
+    drops = s.dropped - win_drops_base_;
+    if (drops != 0) live->advance_stream(drops);
+  });
+  return live;
 }
 
 WindowedEngineSnapshot HhhEngine::window_snapshot() {
   std::lock_guard<std::mutex> snap_lk(snap_mu_);
   const obs::ScopedTimer obs_t(obs_.snapshot_ns);
-  std::unique_ptr<RhhhSpaceSaving> cur;
-  std::unique_ptr<RhhhSpaceSaving> prev;
   EngineStats s;
   std::uint64_t cur_drops = 0;
-  std::uint64_t prev_drops = 0;
+  std::unique_ptr<RhhhSpaceSaving> cur = copy_live(s, cur_drops);
   // Rotations hold snap_mu_ too, so the window count is stable here.
   // order: relaxed -- stable under snap_mu_ (held).
   const std::uint64_t we = window_epochs_.load(std::memory_order_relaxed);
-  quiesced([&] {
-    // order: relaxed -- epoch_req_ only changes under snap_mu_ (held).
-    const std::uint64_t e = epoch_req_.load(std::memory_order_relaxed);
-    cur = make_shard_lattice(0x6e7a9000ULL ^ e);
-    for (const auto& ws : workers_) cur->merge(ws->ring.live());
-    s = collect_stats();
-    cur_drops = s.dropped - win_drops_base_;
-    if (cur_drops != 0) cur->advance_stream(cur_drops);
-    if (we != 0) {
-      prev = make_shard_lattice(0x6e7ab000ULL ^ e);
-      for (const auto& ws : workers_) prev->merge(ws->ring.sealed(0));
-      prev_drops = sealed_drops_[0];
-      if (prev_drops != 0) prev->advance_stream(prev_drops);
-    }
-  });
+  std::shared_ptr<const RhhhSpaceSaving> prev =
+      sealed_.empty() ? nullptr : sealed_.front();
+  const std::uint64_t prev_drops = sealed_.empty() ? 0 : sealed_drops_[0];
   return WindowedEngineSnapshot(std::move(cur), std::move(prev), std::move(s), we,
                                 cur_drops, prev_drops);
 }
@@ -1252,52 +1270,24 @@ WindowedEngineSnapshot HhhEngine::window_snapshot() {
 TrendSnapshot HhhEngine::trend_snapshot() {
   std::lock_guard<std::mutex> snap_lk(snap_mu_);
   const obs::ScopedTimer obs_t(obs_.trend_ns);
-  std::unique_ptr<RhhhSpaceSaving> cur;
   EngineStats s;
   std::uint64_t cur_drops = 0;
-  // Rotations hold snap_mu_ too, so the window count is stable here.
+  std::unique_ptr<RhhhSpaceSaving> cur = copy_live(s, cur_drops);
+  // Rotations hold snap_mu_ too, so the window set is stable here.
   // order: relaxed -- stable under snap_mu_ (held).
   const std::uint64_t we = window_epochs_.load(std::memory_order_relaxed);
-  quiesced([&] {
-    // order: relaxed -- epoch_req_ only changes under snap_mu_ (held).
-    const std::uint64_t e = epoch_req_.load(std::memory_order_relaxed);
-    cur = make_shard_lattice(0x6e7a9000ULL ^ e);
-    for (const auto& ws : workers_) cur->merge(ws->ring.live());
-    s = collect_stats();
-    cur_drops = s.dropped - win_drops_base_;
-    if (cur_drops != 0) cur->advance_stream(cur_drops);
-  });
-  // The sealed merges run after the workers resumed: sealed shard windows
-  // are immutable until the next rotation (which needs snap_mu_, held
-  // here), so only the live-window merge needs the quiesce pause -- and
-  // the merges themselves are cached until the window set changes, so a
-  // detection loop polling between rotations pays the live merge only.
-  const std::size_t m = workers_[0]->ring.sealed_count();
-  if (trend_cache_epoch_ != we) {
-    // order: relaxed -- epoch_req_ only changes under snap_mu_ (held).
-    const std::uint64_t e = epoch_req_.load(std::memory_order_relaxed);
-    trend_cache_.clear();
-    trend_cache_.reserve(m);
-    // All shards rotate on one shared boundary, so age i of every shard
-    // ring covers the same network-wide epoch: merge index-aligned.
-    for (std::size_t age = 0; age < m; ++age) {
-      auto merged = make_shard_lattice((0x6e7ab000ULL + (age << 20)) ^ e);
-      for (const auto& ws : workers_) merged->merge(ws->ring.sealed(age));
-      if (sealed_drops_[age] != 0) merged->advance_stream(sealed_drops_[age]);
-      trend_cache_.emplace_back(std::move(merged));
-    }
-    trend_cache_epoch_ = we;
-  } else {
-    // order: relaxed -- cache-hit counter, diagnostic only.
+  if (trend_cache_epoch_ == we) {
+    // order: relaxed -- poll counter, diagnostic only.
     trend_cache_hits_.fetch_add(1, std::memory_order_relaxed);
   }
-  std::vector<std::shared_ptr<const RhhhSpaceSaving>> sealed = trend_cache_;
+  trend_cache_epoch_ = we;
+  // The sealed windows are the shared copies made at rotation: handing
+  // them out costs a reference count each.
+  const auto m = static_cast<std::ptrdiff_t>(sealed_.size());
   std::vector<std::uint64_t> sealed_drops(sealed_drops_.begin(),
-                                          sealed_drops_.begin() +
-                                              static_cast<std::ptrdiff_t>(m));
-  std::vector<std::uint64_t> sealed_durs(
-      sealed_durations_ns_.begin(),
-      sealed_durations_ns_.begin() + static_cast<std::ptrdiff_t>(m));
+                                          sealed_drops_.begin() + m);
+  std::vector<std::uint64_t> sealed_durs(sealed_durations_ns_.begin(),
+                                         sealed_durations_ns_.begin() + m);
   const std::int64_t now_ns =
       std::chrono::steady_clock::now().time_since_epoch().count();
   // order: relaxed -- written only under snap_mu_ (held), so stable here.
@@ -1307,7 +1297,7 @@ TrendSnapshot HhhEngine::trend_snapshot() {
   // Pure wall-clock rotation produces unequal-length windows; weigh the
   // sustained-growth baseline by duration there (see window_ring.hpp).
   const bool weighted = cfg_.epoch_millis > 0 && cfg_.epoch_packets == 0;
-  return TrendSnapshot(std::move(cur), std::move(sealed), std::move(sealed_drops),
+  return TrendSnapshot(std::move(cur), sealed_, std::move(sealed_drops),
                        std::move(sealed_durs), std::move(s), we, cur_drops,
                        cur_dur, weighted);
 }

@@ -1,71 +1,83 @@
-// HhhEngine: the sharded multi-core ingest engine.
+// HhhEngine: the node-partitioned multi-core ingest engine.
 //
-// Scale-out shape (the Confluo/Akumuli "per-core writers over per-shard
-// summaries" design, applied to RHHH):
+// The paper's distributed design (Section 5.2, Fig. 8) draws RHHH's level
+// before transport; the engine does the same inside one process:
 //
-//   producer 0 ──ring──▶ worker 0 [LatticeHhh shard]
-//      │    └───ring──▶ worker 1 [LatticeHhh shard]      snapshot(): quiesce
-//   producer 1 ──ring──▶ worker 0         │           ─▶ at an epoch boundary,
-//      │    └───ring──▶ worker 1 ─────────┘              LatticeHhh::merge all
-//      ⋮                    ⋮                             shards, answer
-//                                                        network-wide queries
+//   producer 0: block draw ──(key,node,packets)──▶ worker 0 ─┐ apply to the
+//      │  (BlockSampler)  └──────────────────────▶ worker 1 ─┤ nodes each owns
+//   producer 1: block draw ──────────────────────▶ worker 0  │
+//      │                  └──────────────────────▶ worker 1  ▼
+//      ⋮                                  ONE WindowRing<RhhhSpaceSaving>
+//                                         (live + K sealed lattices)
 //
-// M producer threads fan packets across W worker shards. Every producer ×
-// worker pair owns a dedicated SpscRing, so each ring stays strictly
-// single-producer/single-consumer; producers batch records locally and push
-// with try_push_n to amortize the ring atomics. Each worker owns a private
-// ring of one live plus K sealed window lattices (core/window_ring.hpp,
-// K = EngineConfig::history_depth; no shared state on the packet path) and
-// consumes its M rings with try_pop_n. All control operations run through
-// one quiesce mechanism: workers park at the next epoch boundary (each
-// drains its visible ring backlog first), the coordinator operates on the
-// shard lattices, and workers resume.
+// Producers buffer packets into blocks of EngineConfig::batch keys and run
+// stage 1 of the lattice update on each block (BlockSampler: branchless
+// draws plus compaction). Only survivors cross a ring, as SampledUpdate
+// records (key, lattice node, packets), each to the worker that owns the
+// node: 10-RHHH ships about one packet in ten. A sampled-out packet rides
+// as a packet credit on its producer's next record (flush() sends a
+// credit-only record for what is left), so every packet is counted exactly
+// once. An MST or Sampled-MST survivor updates every node: it is shipped
+// once to each worker that owns nodes, and credited on one of them.
 //
-// Four operations use it:
-//   * snapshot()        -- merge the live lattices (LatticeHhh::merge, the
-//                          multi-switch collector of paper Section 7) into
-//                          one instance whose stream length N spans every
-//                          shard plus counted drops. The lifetime view when
-//                          no window rotation is used; the current-window
+// Node ownership: the H lattice nodes are dealt to the W workers in level
+// order, snake-wise (0,1,..,W-1,W-1,..,0,0,..), so per-worker node counts
+// differ by at most one and every level is spread across workers. RHHH
+// draws each node uniformly, so the load is balanced by construction,
+// whatever the key skew. With W > H the workers past H own no nodes and
+// stay idle; that follows from the lattice size and is not configurable.
+// Each worker applies its records to its own nodes of the engine's ONE live
+// lattice (LatticeHhh::apply); node backends sit a cache line apart, so two
+// owners never share a written line. Every producer x worker pair owns a
+// dedicated SpscRing, so each ring stays strictly single-producer /
+// single-consumer.
+//
+// Control operations run through one quiesce: workers park at the next
+// epoch boundary (each drains its visible ring backlog first), the
+// coordinator folds the packets and updates the workers counted into the
+// lattice's stream length and update tally, operates, and resumes them.
+//
+//   * snapshot()        -- copy the live lattice, with every counted drop
+//                          folded into its stream length N. The lifetime
+//                          view without window rotation; the current-window
 //                          view otherwise.
-//   * rotate_epoch()    -- seal the current window: every shard rotates its
-//                          window ring on the shared boundary. Driven
-//                          manually, cooperatively by the workers
-//                          (EngineConfig::epoch_packets / epoch_millis:
-//                          each worker meters the budget at its batch
-//                          boundaries and the one that sees it spent
-//                          elects itself rotator via one CAS), or -- for
-//                          idle streams -- by the fallback coordinator
+//   * rotate_epoch()    -- seal the live window (the ring rotates) and copy
+//                          it, with its drops folded in, into an immutable
+//                          shared window: the trend snapshots, the
+//                          accuracy certificate and the archiver all read
+//                          that copy. Driven manually, cooperatively by the
+//                          workers (EngineConfig::epoch_packets /
+//                          epoch_millis: each worker meters the budget at
+//                          its batch boundaries and the one that sees it
+//                          spent elects itself rotator via one CAS), or --
+//                          for idle streams -- by the fallback coordinator
 //                          clock thread.
-//   * window_snapshot() -- merge the live side and the newest sealed side
-//                          of every ring into a current-window and a
-//                          previous-window lattice, with each window's
-//                          drops folded into its N: the WindowedHhhMonitor
-//                          semantics (current/previous/emerging) at engine
-//                          scale.
-//   * trend_snapshot()  -- merge every retained sealed window index-aligned
-//                          across shards (shared rotation boundary => ring
-//                          slot i of every shard covers the same epoch)
-//                          into one network-wide lattice per epoch: the
-//                          monitor's trend()/emerging_sustained() k-epoch
-//                          queries at engine scale.
+//   * window_snapshot() -- the live copy plus the newest sealed window: the
+//                          WindowedHhhMonitor semantics (current / previous
+//                          / emerging) at engine scale.
+//   * trend_snapshot()  -- the live copy plus every retained sealed window:
+//                          the monitor's trend() / emerging_sustained()
+//                          k-epoch queries at engine scale.
 //
-// Accounting: drops are counted per ring (OverflowPolicy::kDropTail, the
-// saturated-port semantics of the distributed deployment), pushes and pops
-// per ring (conservation invariants; see tests/test_engine_fuzz.cpp),
+// With one producer, the engine's lattice is byte-identical to a single
+// LatticeHhh with the same seed fed the same packets, for any W: producer
+// 0 draws the lattice's own stream and each node sees its updates in
+// packet order (tests/test_engine.cpp pins this).
+//
+// Accounting, all in packets (a record counts the packets it accounts
+// for): drops per ring (OverflowPolicy::kDropTail, the saturated-port
+// semantics of the distributed deployment; a dropped credit-carrying
+// record drops its credit too), pushes and pops per ring (conservation
+// invariants; see tests/test_engine_fuzz.cpp), consumed per worker, and
 // backpressure retry rounds per producer (OverflowPolicy::kBlock, the
-// lossless mode the throughput benches use), and consumed packets per
-// worker.
+// lossless mode the throughput benches use).
 //
-// Durable archiving (EngineConfig::archive, src/store/): when enabled,
-// every rotation merges the just-sealed shard windows into one
-// network-wide lattice *after* the workers have resumed (sealed slots are
-// immutable until the next rotation, which also needs snap_mu_) and hands
-// it to a background archiver thread through a bounded queue -- the packet
-// path never waits on the merge and no thread ever waits on the disk; a
-// full queue drops the window and counts it. The archiver serializes each
-// window (store/serde.hpp) and appends it to the segment log
-// (store/archive.hpp), where WindowArchive answers last-N / time-range
+// Durable archiving (EngineConfig::archive, src/store/): every rotation
+// hands the shared sealed window to a background archiver thread through a
+// bounded queue -- the packet path never waits and no thread ever waits on
+// the disk; a full queue drops the window and counts it. The archiver
+// serializes the window (store/serde.hpp) and appends it to the segment
+// log (store/archive.hpp), where WindowArchive answers last-N / time-range
 // queries that reproduce trend_snapshot()'s sealed windows byte for byte.
 #pragma once
 
@@ -82,8 +94,8 @@
 
 #include "core/monitor.hpp"
 #include "core/window_ring.hpp"
-#include "engine/shard_router.hpp"
 #include "engine/snapshot.hpp"
+#include "hhh/block_sampler.hpp"
 #include "hhh/lattice_hhh.hpp"
 #include "store/serde.hpp"
 #include "util/spsc_ring.hpp"
@@ -105,8 +117,9 @@ namespace rhhh {
 
 class HhhEngine {
  public:
-  /// Validates the config (lattice-mode algorithm, >=1 worker/producer) and
-  /// builds the shards and rings; workers start on start().
+  /// Validates the config (lattice-mode algorithm, >=1 worker/producer),
+  /// builds the window ring, deals the lattice nodes to the workers and
+  /// builds the rings; workers start on start().
   explicit HhhEngine(const EngineConfig& cfg);
   ~HhhEngine();
 
@@ -117,28 +130,28 @@ class HhhEngine {
   /// may use a given handle at a time (that is what keeps every ring SPSC).
   class Producer {
    public:
-    /// Buffer one packet key; flushes the target shard's batch when full.
-    /// With OverflowPolicy::kBlock a full ring spins (lossless, counted as
+    /// Buffer one packet key; a full block of EngineConfig::batch keys is
+    /// drawn at once and its survivors routed to the workers owning their
+    /// nodes. A worker's record batch is pushed when full: with
+    /// OverflowPolicy::kBlock a full ring spins (lossless, counted as
     /// backpressure); with kDropTail the unpushable batch tail is dropped
-    /// and counted against the ring.
+    /// and counted against the ring, in packets.
     void ingest(Key128 key) {
-      offered_local_ += 1;
-      const std::uint32_t w = router_.route(key);
-      auto& b = buf_[w];
-      b.push_back(key);
-      if (b.size() >= batch_) flush_worker(w);
+      block_[fill_] = key;
+      if (++fill_ == block_.size()) sample_block();
     }
     /// Convenience overload mapping a packet through the engine's hierarchy.
     void ingest(const PacketRecord& p);
 
-    /// Push out every partially filled batch (and publish the offered
-    /// count). Call before snapshot() for results that include everything
-    /// this producer ingested.
+    /// Draw the partial block, send any pending packet credit, push out
+    /// every partially filled record batch and publish the offered count.
+    /// Call before snapshot() for results that include everything this
+    /// producer ingested.
     void flush();
 
     /// Packets this handle has accepted and published. Updated on each
-    /// batch flush (so it may trail ingest() by up to one batch until
-    /// flush() is called); safe to read from any thread.
+    /// batch push (so it may trail ingest() by up to a block plus a batch
+    /// until flush() is called); safe to read from any thread.
     [[nodiscard]] std::uint64_t offered() const noexcept {
       // order: relaxed -- monotonic counter; cross-thread reads want a recent
       // value, not ordering against other memory. Exact totals come from
@@ -148,32 +161,54 @@ class HhhEngine {
 
    private:
     friend class HhhEngine;
-    Producer(HhhEngine* eng, std::uint32_t id);
+    Producer(HhhEngine* eng, std::uint32_t id, std::uint64_t seed);
+    /// Draw the pending block and route its survivors.
+    void sample_block();
+    /// Append one record to worker w's batch; push the batch when full.
+    void emit(std::uint32_t w, const Key128& key, std::uint32_t node,
+              std::uint32_t packets) {
+      buf_[w].push_back(SampledUpdate{key, node, packets});
+      buf_packets_[w] += packets;
+      if (buf_[w].size() >= batch_) flush_worker(w);
+    }
+    /// Send the pending credit as a packets-only record.
+    void emit_credit();
     void flush_worker(std::uint32_t w);
 
     HhhEngine* eng_;
     std::uint32_t id_;
     std::size_t batch_;
-    ShardRouter router_;
-    std::vector<std::vector<Key128>> buf_;  ///< per-worker pending batch
-    std::uint64_t offered_local_ = 0;       ///< not yet published to offered_
+    BlockSampler sampler_;
+    std::vector<Key128> block_;  ///< packets awaiting their draws
+    std::size_t fill_ = 0;
+    /// Packets drawn but sampled out since this handle's last record: the
+    /// credit the next record carries.
+    std::uint64_t credit_ = 0;
+    /// Worker whose copy of the next all-node record carries its packets
+    /// (MST / Sampled-MST), cycling so credits spread evenly.
+    std::uint32_t fan_credit_ = 0;
+    std::vector<std::vector<SampledUpdate>> buf_;  ///< per-worker pending batch
+    std::vector<std::uint64_t> buf_packets_;       ///< packets in buf_[w]
+    std::uint64_t offered_local_ = 0;  ///< drawn, not yet published to offered_
     std::atomic<std::uint64_t> offered_{0};
   };
 
   /// Spawns the W worker threads (and the coordinator clock thread when a
   /// window clock is configured). Idempotent.
   void start();
-  /// Drains the rings, stops and joins the workers (and the clock thread).
-  /// Producer buffers are not flushed (call Producer::flush() from the
-  /// owning thread first). Idempotent; also run by the destructor.
+  /// Drains the ring backlog, stops and joins the workers (and the clock
+  /// thread), and settles the lattice's stream counts. Producer buffers are
+  /// not flushed (call Producer::flush() from the owning thread first), and
+  /// records pushed while stop() runs may be left in the rings. Idempotent;
+  /// also run by the destructor.
   void stop();
 
   /// Handle for producer `i` in [0, producers()). Hand each to one thread.
   [[nodiscard]] Producer& producer(std::uint32_t i) { return *producers_[i]; }
 
   /// Epoch-based network-wide query: quiesces every worker at the next
-  /// epoch boundary, merges the live shard lattices into a fresh instance,
-  /// folds counted drops into its stream length, and resumes the workers.
+  /// epoch boundary, copies the live lattice, folds counted drops into the
+  /// copy's stream length, and resumes the workers.
   /// Packets still buffered in producer handles (not flushed) are not yet
   /// part of the snapshot. With window rotation in use this covers only the
   /// current (partial) window -- and folds in *all* drops ever counted, so
@@ -182,30 +217,30 @@ class HhhEngine {
   /// quiesce needed once workers are gone).
   [[nodiscard]] EngineSnapshot snapshot();
 
-  /// Close the current window on a shared boundary: quiesce, rotate every
-  /// shard's window ring (the oldest retained sealed window is discarded),
-  /// attribute the drops counted since the last boundary to the newly
-  /// sealed window, resume. With EngineConfig::epoch_packets /
-  /// epoch_millis set this happens automatically -- cooperatively by the
+  /// Close the current window: quiesce, rotate the window ring (the oldest
+  /// retained sealed window is discarded), attribute the drops counted
+  /// since the last boundary to the newly sealed window, resume, and copy
+  /// the sealed window (drops folded in) into the shared immutable window
+  /// the trend snapshots and the archiver read (the certificate probes the
+  /// same counters). With EngineConfig::epoch_packets / epoch_millis set
+  /// this happens automatically -- cooperatively by the
   /// workers (bounding boundary drift by one worker batch) with the
   /// coordinator clock thread as an idle-stream fallback; manual calls
   /// compose with both (the packet/wall budgets reset either way). The
-  /// packet budget meters CONSUMED records only -- see
+  /// packet budget meters CONSUMED packets only -- see
   /// EngineConfig::epoch_packets for the basis contract.
   void rotate_epoch();
 
-  /// Two-window network-wide query: quiesce, merge the live sides of every
-  /// ring into a current-window lattice and the newest sealed sides into a
-  /// previous-window lattice (absent before the first rotation), fold each
-  /// window's drops into its stream length, resume. Does NOT rotate --
-  /// observing is separate from sealing, so several window snapshots can
-  /// watch one window evolve.
+  /// Two-window network-wide query: quiesce, copy the live lattice as the
+  /// current window (its drops folded in), resume; the previous window is
+  /// the newest shared sealed window (absent before the first rotation).
+  /// Does NOT rotate -- observing is separate from sealing, so several
+  /// window snapshots can watch one window evolve.
   [[nodiscard]] WindowedEngineSnapshot window_snapshot();
 
-  /// K-window network-wide query: quiesce, merge every retained sealed
-  /// window of every shard index-aligned (all shards rotate together, so
-  /// age i covers the same epoch on every shard) plus the live window,
-  /// fold each window's own drops into its stream length, resume. Answers
+  /// K-window network-wide query: quiesce, copy the live lattice (its
+  /// drops folded in), resume; the sealed windows are the shared copies
+  /// made at rotation, each with its own window's drops folded in. Answers
   /// trend() and emerging_sustained() over up to
   /// EngineConfig::history_depth sealed epochs. Does NOT rotate.
   [[nodiscard]] TrendSnapshot trend_snapshot();
@@ -239,26 +274,35 @@ class HhhEngine {
   [[nodiscard]] bool windowed() const noexcept {
     return cfg_.epoch_packets > 0 || cfg_.epoch_millis > 0;
   }
-  /// The live (current-window) shard lattice of worker `w`. Safe to inspect
-  /// when quiescent (before start(), after stop(), or from test code that
-  /// knows better).
-  [[nodiscard]] const RhhhSpaceSaving& shard(std::uint32_t w) const noexcept {
-    return workers_[w]->ring.live();
+  /// The engine's live (current-window) lattice. Every worker applies to
+  /// its own nodes of this one lattice, so every `w` returns the same
+  /// instance; the parameter is kept for callers that iterate workers.
+  /// Safe to inspect when quiescent (before start(), after stop(), or from
+  /// test code that knows better); its N and update tally include every
+  /// record consumed up to the last quiesce or stop().
+  [[nodiscard]] const RhhhSpaceSaving& shard(std::uint32_t /*w*/) const noexcept {
+    return ring_.live();
   }
-  /// The newest sealed (previous-window) shard lattice of worker `w`, or
-  /// nullptr before the first rotation. Same quiescence caveat as shard().
-  [[nodiscard]] const RhhhSpaceSaving* shard_sealed(std::uint32_t w) const noexcept {
-    return workers_[w]->ring.sealed_or_null();
+  /// The newest sealed lattice (drops not folded in), or nullptr before the
+  /// first rotation; the same instance for every `w`. Same quiescence
+  /// caveat as shard().
+  [[nodiscard]] const RhhhSpaceSaving* shard_sealed(std::uint32_t /*w*/) const noexcept {
+    return ring_.sealed_or_null();
   }
-  /// The sealed shard lattice of worker `w` from `age` epochs back (0 =
-  /// newest). Requires age < shard_sealed_windows(). Same quiescence caveat.
-  [[nodiscard]] const RhhhSpaceSaving& shard_sealed(std::uint32_t w,
+  /// The sealed lattice from `age` epochs back (0 = newest; drops not
+  /// folded in); the same instance for every `w`. Requires age <
+  /// shard_sealed_windows(). Same quiescence caveat.
+  [[nodiscard]] const RhhhSpaceSaving& shard_sealed(std::uint32_t /*w*/,
                                                     std::size_t age) const noexcept {
-    return workers_[w]->ring.sealed(age);
+    return ring_.sealed(age);
   }
-  /// Sealed windows currently populated in every shard's ring.
+  /// Sealed windows currently retained.
   [[nodiscard]] std::size_t shard_sealed_windows() const noexcept {
-    return workers_[0]->ring.sealed_count();
+    return ring_.sealed_count();
+  }
+  /// The lattice nodes worker `w` owns (level order; empty for w >= H).
+  [[nodiscard]] const std::vector<std::uint32_t>& owned_nodes(std::uint32_t w) const noexcept {
+    return workers_[w]->nodes;
   }
 
   // -- estimator health layer (src/obs/health.hpp) --------------------------
@@ -288,10 +332,21 @@ class HhhEngine {
 
  private:
   struct WorkerState {
-    WindowRing<RhhhSpaceSaving> ring;  ///< live + K sealed window lattices
+    std::vector<std::uint32_t> nodes;  ///< lattice nodes this worker owns
     std::thread thread;
     std::uint64_t epoch_acked = 0;  ///< guarded by ctl_mu_
-    alignas(kCacheLine) std::atomic<std::uint64_t> consumed{0};
+    /// Packets and backend updates consumed since the last fold into the
+    /// lattice. Written by the consuming thread only; read and reset by
+    /// fold_stream() while the worker is parked or joined.
+    std::uint64_t unfolded_packets = 0;
+    std::uint64_t unfolded_updates = 0;
+    alignas(kCacheLine) std::atomic<std::uint64_t> consumed{0};  ///< packets
+  };
+  /// What one drain consumed: records popped (progress) and the packets
+  /// they account for (the budget and every counter).
+  struct Drained {
+    std::size_t records = 0;
+    std::uint64_t packets = 0;
   };
 
   /// `self` sentinel for quiesced()/rotate_locked(): no worker is driving
@@ -301,27 +356,32 @@ class HhhEngine {
   /// counts as late: the cooperative path missed its one-batch bound.
   static constexpr std::int64_t kLateRotationNs = 200'000;
 
-  [[nodiscard]] SpscRing<Key128>& ring(std::uint32_t p, std::uint32_t w) noexcept {
+  [[nodiscard]] SpscRing<SampledUpdate>& ring(std::uint32_t p, std::uint32_t w) noexcept {
     return *rings_[p * workers_.size() + w];
   }
-  [[nodiscard]] std::unique_ptr<RhhhSpaceSaving> make_shard_lattice(
-      std::uint64_t salt) const;
   void worker_loop(std::uint32_t w);
   void clock_loop(std::uint64_t gen);
-  /// One try_pop_n sweep over worker w's M rings; returns records consumed.
-  std::size_t drain_pass(std::uint32_t w, std::vector<Key128>& batch);
+  /// Apply n popped records of ring (p, w) to worker w's nodes and count
+  /// them; returns the packets they account for.
+  std::uint64_t consume(std::uint32_t p, std::uint32_t w, const SampledUpdate* batch,
+                        std::size_t n);
+  /// One try_pop_n sweep over worker w's M rings.
+  Drained drain_pass(std::uint32_t w, std::vector<SampledUpdate>& batch);
   /// Worker w's epoch-boundary drain: consume exactly the backlog visible
   /// in each of its rings right now (bounded by the observed size, so it
   /// terminates while producers keep pushing -- later arrivals belong to
-  /// the next epoch). Runs on worker threads (at a quiesce boundary or as
-  /// the self-drain of a cooperative rotator) and once more from stop()
-  /// after the workers are joined.
-  void boundary_drain(std::uint32_t w, std::vector<Key128>& batch);
-  /// Spend `n` consumed records of the packet budget (the consumed-only
+  /// the next epoch). Runs on worker threads (at a quiesce boundary, as
+  /// the self-drain of a cooperative rotator, or at shutdown) and once more
+  /// from stop() after the workers are joined.
+  void boundary_drain(std::uint32_t w, std::vector<SampledUpdate>& batch);
+  /// Fold every worker's unfolded packets and updates into the live
+  /// lattice. Runs with every worker parked (inside quiesced()) or joined.
+  void fold_stream();
+  /// Spend `n` consumed packets of the packet budget (the consumed-only
   /// basis: drops never pass through here). The decrement that crosses zero
   /// records the boundary instant for drift metering. Called at every batch
   /// boundary and from boundary_drain().
-  void meter_consumed(std::size_t n);
+  void meter_consumed(std::uint64_t n);
   /// True when the packet or wall budget of the current window is spent.
   /// Lock-free and stale-tolerant: both rotation paths re-check under
   /// snap_mu_ before acting. The first observer of a wall-deadline crossing
@@ -340,21 +400,21 @@ class HhhEngine {
   /// (keep the token, retry next batch); true means the claim is settled
   /// (rotated here, or a racer already reset the budget) and the token
   /// must be released.
-  bool try_rotate_cooperative(std::uint32_t w, std::vector<Key128>& batch,
+  bool try_rotate_cooperative(std::uint32_t w, std::vector<SampledUpdate>& batch,
                               std::uint64_t& acked);
   [[nodiscard]] EngineStats collect_stats() const;
   struct ArchiveItem;  // defined with the archiver state below
   /// Archiver thread body: drains the sealed-window queue into `arch`
   /// until its generation is retired.
   void archive_loop(store::WindowArchive* arch, std::uint64_t gen);
-  /// Snapshot the newest sealed shard windows as serialized blobs and
-  /// enqueue them for the archiver (or drop + count on a full queue).
-  /// Caller must hold snap_mu_, after the rotation completed.
-  void enqueue_archive(std::uint64_t sealed_drop, std::uint64_t duration_ns,
+  /// Enqueue the just-sealed shared window for the archiver (or drop +
+  /// count on a full queue). Caller must hold snap_mu_, after the rotation
+  /// completed.
+  void enqueue_archive(std::shared_ptr<const RhhhSpaceSaving> window,
+                       std::uint64_t sealed_drop, std::uint64_t duration_ns,
                        std::int64_t wall_start_ns, std::int64_t wall_end_ns);
-  /// Archiver-side work for one queued window: decode the shard blobs,
-  /// merge them network-wide exactly like trend_snapshot()'s age-0 merge,
-  /// and append to `arch`. Counts success/failure.
+  /// Archiver-side work for one queued window: append it to `arch`. Counts
+  /// success/failure.
   void archive_one(store::WindowArchive* arch, const ArchiveItem& item);
   /// Parks every worker at the next quiesce boundary, runs fn while they
   /// are parked, resumes them; returns the quiesce generation. Caller must
@@ -363,12 +423,16 @@ class HhhEngine {
   /// drain and self-acks the epoch instead of waiting on itself.
   template <class Fn>
   std::uint64_t quiesced(Fn&& fn, std::uint32_t self = kNoWorker,
-                         std::vector<Key128>* self_batch = nullptr);
+                         std::vector<SampledUpdate>* self_batch = nullptr);
+  /// Quiesce and copy the live lattice with the current window's drops
+  /// folded in; fills the frozen stats and those drops. Caller must hold
+  /// snap_mu_.
+  std::unique_ptr<RhhhSpaceSaving> copy_live(EngineStats& s, std::uint64_t& drops);
   /// rotate_epoch() body; caller must hold snap_mu_. `self`/`self_batch`
   /// as in quiesced(); a rotating worker's local ack mark is updated
   /// through `self_acked` so it does not re-park on its own boundary.
   void rotate_locked(std::uint32_t self = kNoWorker,
-                     std::vector<Key128>* self_batch = nullptr,
+                     std::vector<SampledUpdate>* self_batch = nullptr,
                      std::uint64_t* self_acked = nullptr);
   /// Register this engine's instruments (histograms, counter-mirror and
   /// occupancy gauges) against cfg_.metrics / the global registry when
@@ -385,10 +449,10 @@ class HhhEngine {
   /// bind_metrics(). The watchdog thread itself starts/stops with the
   /// engine.
   void bind_health();
-  /// Probe the just-sealed shard windows and stamp this window's
-  /// AccuracyCertificate into the ledger. Caller must hold snap_mu_, after
-  /// the workers have resumed (sealed(0) is immutable until the next
-  /// rotation, same contract as enqueue_archive()).
+  /// Probe the just-sealed window and stamp its AccuracyCertificate into
+  /// the ledger. Caller must hold snap_mu_, after the workers have resumed
+  /// (sealed(0) is immutable until the next rotation, which needs
+  /// snap_mu_).
   void stamp_certificate(std::uint64_t sealed_epoch, std::uint64_t sealed_drop);
 
   EngineConfig cfg_;
@@ -397,7 +461,16 @@ class HhhEngine {
   LatticeParams params_;  ///< resolved (kTenRhhh's V applied), base seed
   std::size_t pop_batch_;
 
-  std::vector<std::unique_ptr<SpscRing<Key128>>> rings_;  ///< [p * W + w]
+  /// The one lattice ring: live + K sealed windows. Workers apply to their
+  /// own nodes of live(); the coordinator rotates it under quiesce.
+  WindowRing<RhhhSpaceSaving> ring_;
+  /// owner_[node]: the worker that applies node's updates.
+  std::vector<std::uint32_t> owner_;
+  /// Workers owning at least one node: min(W, H). All-node records go to
+  /// each of them.
+  std::uint32_t active_workers_ = 0;
+
+  std::vector<std::unique_ptr<SpscRing<SampledUpdate>>> rings_;  ///< [p * W + w]
   std::vector<std::unique_ptr<WorkerState>> workers_;
   std::vector<std::unique_ptr<Producer>> producers_;
 
@@ -461,29 +534,26 @@ class HhhEngine {
   std::atomic<std::uint64_t> clock_gen_{0};
   std::thread clock_thread_;
 
-  // Merged-sealed-window cache for trend_snapshot(): the sealed windows
-  // (and their drops) are fixed between rotations, so their cross-shard
-  // merges are reusable until window_epochs_ changes. All fields written
-  // under snap_mu_; rotation invalidates. Entries are immutable shared
-  // merges, handed to TrendSnapshot by shared_ptr.
-  std::vector<std::shared_ptr<const RhhhSpaceSaving>> trend_cache_;  ///< [age]
+  // The retained sealed windows, each copied once at its rotation with its
+  // drops folded in, by age (0 = newest). Immutable and shared: trend and
+  // window snapshots hand them out by shared_ptr and the archiver persists
+  // them, so no sealed window is ever copied twice. Written under snap_mu_.
+  std::vector<std::shared_ptr<const RhhhSpaceSaving>> sealed_;
+  /// window_epochs_ at the last trend_snapshot(): a poll that finds it
+  /// unchanged counts as a trend_cache_hits_ hit.
   std::uint64_t trend_cache_epoch_ = ~std::uint64_t{0};
   std::atomic<std::uint64_t> trend_cache_hits_{0};
 
   // Background archiver (EngineConfig::archive). The queue is bounded:
-  // rotations enqueue (or drop + count) and never wait; the rotation-path
-  // cost is one flat serialization of each shard's just-sealed lattice
-  // (sealed slots are reused after K more rotations, so the archiver
-  // cannot read them in place). The archiver owns everything expensive:
-  // it decodes the shard blobs, replays the exact cross-shard merge
-  // trend_snapshot() would do (so the persisted window is byte-identical
-  // to the in-memory view), and appends to the segment log. start() opens
-  // the store and spawns the thread; stop() retires the generation, joins,
-  // drains the remainder synchronously and seals the segment. Queue state
-  // under arch_mu_.
+  // rotations enqueue the shared sealed window (or drop + count) and never
+  // wait; the archiver serializes it (byte-identical to trend_snapshot()'s
+  // view, since it IS that view) and appends it to the segment log.
+  // start() opens the store and spawns the thread; stop() retires the
+  // generation, joins, drains the remainder synchronously and seals the
+  // segment. Queue state under arch_mu_.
   struct ArchiveItem {
     store::WindowMeta meta;
-    std::vector<store::Bytes> shard_blobs;  ///< [worker] sealed(0) images
+    std::shared_ptr<const RhhhSpaceSaving> window;
   };
   std::deque<ArchiveItem> archive_q_;
   std::mutex arch_mu_;
@@ -508,8 +578,8 @@ class HhhEngine {
     obs::Histogram* quiesce_ns = nullptr;     ///< request -> all-acked wait
     obs::Histogram* rotation_ns = nullptr;    ///< full rotate_locked() cost
     obs::Histogram* rotation_drift_ns = nullptr;  ///< budget-spent -> rotation
-    obs::Histogram* snapshot_ns = nullptr;    ///< snapshot/window merge time
-    obs::Histogram* trend_ns = nullptr;       ///< trend_snapshot merge time
+    obs::Histogram* snapshot_ns = nullptr;    ///< snapshot/window_snapshot time
+    obs::Histogram* trend_ns = nullptr;       ///< trend_snapshot time
     obs::Gauge* archive_q_depth = nullptr;    ///< sealed windows queued
     obs::TraceRing* trace = nullptr;          ///< global control-plane trace
     std::vector<std::string> owned;           ///< gauge_fn names to unregister

@@ -1,4 +1,8 @@
-// ShardRouter: maps a packet key to one of W worker shards.
+// ShardRouter: maps a packet key to one of W shards -- key partitioning for
+// deployments that keep one mergeable lattice per shard and merge at query
+// time (examples/multi_switch_merge.cpp's shape). HhhEngine does not route
+// by key: it draws RHHH's level at the producer and routes each survivor
+// to the worker that owns its lattice node (engine/engine.hpp).
 //
 // Two policies:
 //   kKeyHash    -- route by a strong hash of the fully-specified key, so a

@@ -1,26 +1,24 @@
 // EngineSnapshot / WindowedEngineSnapshot / TrendSnapshot: the results of
-// quiescing the sharded engine at an epoch boundary.
+// quiescing the engine at an epoch boundary.
 //
-// EngineSnapshot is the lifetime view -- one merged LatticeHhh over every
-// shard's sub-stream plus the ingest counters frozen at the same instant,
-// answering network-wide (all shards, all producers) exactly like the
-// multi-switch collector of examples/multi_switch_merge.cpp.
+// EngineSnapshot is the lifetime view -- a copy of the engine's one live
+// lattice (every worker applies to its own nodes of it) plus the ingest
+// counters frozen at the same instant, answering network-wide (all
+// workers, all producers).
 //
 // WindowedEngineSnapshot is the two-window change-detection view: when the
-// engine rotates window epochs (coordinator clock or rotate_epoch()), each
-// shard keeps a ring of window lattices and the snapshot merges the live
-// sides and the newest sealed sides -- the current (partial) window and
-// the sealed previous window -- into two network-wide lattices, with the
-// drops of each window folded into its stream length.
-// current()/previous()/emerging() then mirror the single-threaded
-// WindowedHhhMonitor at multi-core scale.
+// engine rotates window epochs (coordinator clock or rotate_epoch()), the
+// current (partial) window is a copy of the live lattice and the previous
+// window is the newest sealed window, each with its own drops folded into
+// its stream length. current()/previous()/emerging() then mirror the
+// single-threaded WindowedHhhMonitor at multi-core scale.
 //
-// TrendSnapshot is the K-window view: every retained sealed window of
-// every shard is merged index-aligned (all shards rotate on one shared
-// boundary, so sealed(i) of every shard covers the same epoch) into one
-// network-wide lattice per epoch, each with its own window's drops folded
-// into its stream length. trend()/emerging_sustained() then mirror the
-// monitor's k-epoch growth curves and EWMA sustained-ramp alarms.
+// TrendSnapshot is the K-window view: the live copy plus every retained
+// sealed window, each with its own window's drops folded into its stream
+// length. trend()/emerging_sustained() then mirror the monitor's k-epoch
+// growth curves and EWMA sustained-ramp alarms. Sealed windows are copied
+// once, at rotation, and shared immutably by every snapshot and the
+// archiver.
 #pragma once
 
 #include <cstdint>
@@ -36,8 +34,14 @@ namespace rhhh {
 /// Ingest accounting, frozen per snapshot (and exposed live by the engine).
 struct EngineStats {
   std::uint64_t offered = 0;    ///< packets handed to any producer handle
-  std::uint64_t consumed = 0;   ///< packets applied to some shard lattice
-  std::uint64_t dropped = 0;    ///< ring-full drops on the lossy offer() path
+  /// Packets accounted for by records that reached the lattice -- sampled-
+  /// out packets included (they ride as credits on their producer's next
+  /// record), so consumed + dropped == offered once everything is flushed
+  /// and drained.
+  std::uint64_t consumed = 0;
+  /// Packets lost with records dropped at full rings (kDropTail), credits
+  /// included.
+  std::uint64_t dropped = 0;
   std::uint64_t backpressure_waits = 0;  ///< full-ring retry rounds of push()
   std::uint64_t epochs = 0;     ///< quiesce generations (snapshots + rotations)
   std::uint64_t window_epochs = 0;  ///< completed window rotations
@@ -46,8 +50,9 @@ struct EngineStats {
   /// (rotation never blocks on I/O; see ArchiveConfig::queue_windows).
   std::uint64_t archive_queue_drops = 0;
   std::uint64_t archive_errors = 0;  ///< archiver I/O failures (window skipped)
-  /// trend_snapshot() calls served from the merged-sealed-window cache
-  /// (no re-merge: the window set was unchanged since the previous call).
+  /// trend_snapshot() calls that found the sealed window set unchanged
+  /// since the previous call (every call reuses the sealed windows copied
+  /// at rotation; a miss marks the first poll of a new window set).
   std::uint64_t trend_cache_hits = 0;
   /// Rotations triggered by a spent packet/wall budget (manual
   /// rotate_epoch() calls are excluded -- they have no boundary to drift
@@ -63,6 +68,7 @@ struct EngineStats {
   /// timeslice -- the cooperative path missed its bound and the window
   /// boundary slid by a scheduler quantum or worse.
   std::uint64_t late_rotations = 0;
+  // Per-worker and per-ring counters, in packets like the totals.
   std::vector<std::uint64_t> per_worker_consumed;  ///< [worker]
   std::vector<std::uint64_t> per_ring_dropped;     ///< [producer * W + worker]
   std::vector<std::uint64_t> per_ring_pushed;      ///< [producer * W + worker]
@@ -71,27 +77,27 @@ struct EngineStats {
 
 class EngineSnapshot {
  public:
-  EngineSnapshot(std::unique_ptr<RhhhSpaceSaving> merged, EngineStats stats,
+  EngineSnapshot(std::unique_ptr<RhhhSpaceSaving> lattice, EngineStats stats,
                  std::uint64_t epoch)
-      : merged_(std::move(merged)), stats_(std::move(stats)), epoch_(epoch) {}
+      : lattice_(std::move(lattice)), stats_(std::move(stats)), epoch_(epoch) {}
 
   /// The network-wide approximate HHH set at threshold theta.
-  [[nodiscard]] HhhSet output(double theta) const { return merged_->output(theta); }
+  [[nodiscard]] HhhSet output(double theta) const { return lattice_->output(theta); }
 
-  /// N of the merged stream: every consumed packet plus every counted drop
+  /// N of the whole stream: every consumed packet plus every counted drop
   /// (a drop still happened on the wire, so thresholds must see it -- the
   /// same convention as DistributedMeasurement's advance_stream()).
   [[nodiscard]] std::uint64_t stream_length() const {
-    return merged_->stream_length();
+    return lattice_->stream_length();
   }
 
-  [[nodiscard]] const RhhhSpaceSaving& algorithm() const noexcept { return *merged_; }
+  [[nodiscard]] const RhhhSpaceSaving& algorithm() const noexcept { return *lattice_; }
   [[nodiscard]] const EngineStats& stats() const noexcept { return stats_; }
   /// 1-based epoch number this snapshot closed.
   [[nodiscard]] std::uint64_t epoch() const noexcept { return epoch_; }
 
  private:
-  std::unique_ptr<RhhhSpaceSaving> merged_;
+  std::unique_ptr<RhhhSpaceSaving> lattice_;
   EngineStats stats_;
   std::uint64_t epoch_;
 };
@@ -102,7 +108,7 @@ class EngineSnapshot {
 class WindowedEngineSnapshot {
  public:
   WindowedEngineSnapshot(std::unique_ptr<RhhhSpaceSaving> current,
-                         std::unique_ptr<RhhhSpaceSaving> previous,
+                         std::shared_ptr<const RhhhSpaceSaving> previous,
                          EngineStats stats, std::uint64_t window_epochs,
                          std::uint64_t current_drops, std::uint64_t previous_drops)
       : current_(std::move(current)),
@@ -128,7 +134,7 @@ class WindowedEngineSnapshot {
     return emerging_from(*current_, previous_.get(), theta, growth_factor);
   }
 
-  /// N of the current window (shard sub-streams + this window's drops).
+  /// N of the current window (consumed packets + this window's drops).
   [[nodiscard]] std::uint64_t current_length() const {
     return current_->stream_length();
   }
@@ -158,7 +164,8 @@ class WindowedEngineSnapshot {
 
  private:
   std::unique_ptr<RhhhSpaceSaving> current_;
-  std::unique_ptr<RhhhSpaceSaving> previous_;  ///< nullptr before 1st rotation
+  /// The engine's shared sealed window; nullptr before the 1st rotation.
+  std::shared_ptr<const RhhhSpaceSaving> previous_;
   EngineStats stats_;
   std::uint64_t window_epochs_;
   std::uint64_t current_drops_;
@@ -166,12 +173,11 @@ class WindowedEngineSnapshot {
 };
 
 /// The K-window network-wide view produced by HhhEngine::trend_snapshot():
-/// one merged lattice per retained epoch (each shard ring's sealed windows
-/// merged index-aligned) plus the live (partial) window, every window's
-/// drops folded into its stream length. Sealed windows are indexed by age:
-/// window 0 is the most recently sealed epoch. The sealed merges are
-/// shared with the engine's per-epoch cache (they are immutable), so
-/// repeated polls between rotations pay only the live-window merge.
+/// one lattice per retained epoch plus the live (partial) window, every
+/// window's drops folded into its stream length. Sealed windows are indexed
+/// by age: window 0 is the most recently sealed epoch. They are the
+/// engine's shared copies made at rotation (immutable), so a poll pays only
+/// the live-window copy.
 class TrendSnapshot {
  public:
   TrendSnapshot(std::unique_ptr<RhhhSpaceSaving> current,
@@ -233,7 +239,7 @@ class TrendSnapshot {
                                    min_epochs, alpha);
   }
 
-  /// N of the current window (shard sub-streams + this window's drops).
+  /// N of the current window (consumed packets + this window's drops).
   [[nodiscard]] std::uint64_t current_length() const {
     return current_->stream_length();
   }
@@ -292,8 +298,8 @@ class TrendSnapshot {
   }
 
   std::unique_ptr<RhhhSpaceSaving> current_;
-  /// Merged sealed windows by age (0 = newest sealed epoch); shared with
-  /// the engine's cache, immutable once sealed.
+  /// Sealed windows by age (0 = newest sealed epoch); shared with the
+  /// engine, immutable once sealed.
   std::vector<std::shared_ptr<const RhhhSpaceSaving>> sealed_;
   std::vector<std::uint64_t> sealed_drops_;  ///< [age], parallel to sealed_
   std::vector<std::uint64_t> sealed_durations_ns_;  ///< [age]

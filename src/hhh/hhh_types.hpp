@@ -115,8 +115,12 @@ class HhhAlgorithm {
   [[nodiscard]] virtual const Hierarchy& hierarchy() const = 0;
 
   HhhAlgorithm() = default;
-  HhhAlgorithm(const HhhAlgorithm&) = delete;
-  HhhAlgorithm& operator=(const HhhAlgorithm&) = delete;
+
+ protected:
+  // Copyable only as a concrete type, never sliced through the interface:
+  // a LatticeHhh copy is how the engine snapshots its live lattice.
+  HhhAlgorithm(const HhhAlgorithm&) = default;
+  HhhAlgorithm& operator=(const HhhAlgorithm&) = default;
 };
 
 }  // namespace rhhh

@@ -7,11 +7,12 @@ namespace rhhh {
 
 template <class Backend>
 LatticeHhh<Backend>::LatticeHhh(const Hierarchy& h, LatticeMode mode, LatticeParams p)
-    : h_(&h), mode_(mode), p_(p), rng_(p.seed) {
+    : h_(&h), mode_(mode), p_(p), sampler_(mode, 1, 1, p.r, p.seed) {
   H_ = static_cast<std::uint32_t>(h.size());
   if (H_ >= (1u << 16)) {
-    // update_batch packs the lattice node into 16 bits of a pick word; every
-    // shipped hierarchy is orders of magnitude below this.
+    // BlockSampler packs the lattice node into 16 bits of a pick word (and
+    // reserves 0xffff for "every node"); every shipped hierarchy is orders
+    // of magnitude below this.
     throw std::invalid_argument("LatticeHhh: hierarchy size must be < 65536");
   }
   if (!(p_.eps > 0.0) || p_.eps >= 1.0) {
@@ -28,6 +29,7 @@ LatticeHhh<Backend>::LatticeHhh(const Hierarchy& h, LatticeMode mode, LatticePar
   if (mode_ != LatticeMode::kRhhh && p_.r != 1) {
     throw std::invalid_argument("LatticeHhh: r applies to RHHH only");
   }
+  sampler_ = make_sampler();
 
   // Error-budget split (Theorem 6.6): eps = eps_a + eps_s,
   // delta = delta_a + 2*delta_s. MST is deterministic: no sampling share.
@@ -59,11 +61,11 @@ LatticeHhh<Backend>::LatticeHhh(const Hierarchy& h, LatticeMode mode, LatticePar
   cfg.capacity = counters_;
   cfg.eps_a = 1.0 / static_cast<double>(counters_);
   cfg.delta_a = delta_a_;
-  hh_.reserve(H_);
+  nodes_.reserve(H_);
   const std::uint64_t bseed = p_.backend_seed != 0 ? p_.backend_seed : p_.seed;
   for (std::uint32_t d = 0; d < H_; ++d) {
     cfg.seed = mix64(bseed ^ (0x5851f42d4c957f2dULL + d));
-    hh_.push_back(Backend::make(cfg));
+    nodes_.push_back(NodeSlot{Backend::make(cfg)});
   }
 
   name_ = std::string(to_string(mode_));
@@ -79,15 +81,23 @@ LatticeHhh<Backend>::LatticeHhh(const Hierarchy& h, LatticeMode mode, LatticePar
 }
 
 template <class Backend>
-void LatticeHhh<Backend>::apply_survivors() {
-  // Stage 3: replay the compacted work list against the per-node backends.
-  // Survivors sit in packet order and each node's backend is an independent
+typename LatticeHhh<Backend>::Survivor LatticeHhh<Backend>::survivor(
+    std::uint32_t d, const Key128& key) const noexcept {
+  const Key128 mkey = h_->mask_key(d, key);
+  std::uint64_t hash = 0;
+  if constexpr (backend_prefetchable()) hash = Backend::hash_of(mkey);
+  return Survivor{hash, mkey.hi, mkey.lo, d};
+}
+
+template <class Backend>
+void LatticeHhh<Backend>::apply_survivors(const Survivor* s, std::size_t m) {
+  // Stage 3: replay the work list against the per-node backends. Survivors
+  // sit in packet order and each node's backend is an independent
   // structure, so the resulting state is byte-identical to the per-packet
   // interleaving. For backends with the hash/probe split, index slots are
   // prefetched `D` apply steps ahead and counter cells D/2 ahead (the cell
   // address is a dependent load through the index, so its prefetch runs at
   // a shorter distance, once the slot line has had time to arrive).
-  const std::size_t m = survivors_.size();
   if constexpr (backend_prefetchable()) {
     const std::size_t far = p_.prefetch_distance;
     const std::size_t near = (far + 1) / 2;
@@ -97,116 +107,92 @@ void LatticeHhh<Backend>::apply_survivors() {
     };
     for (std::size_t j = 0; j < m; ++j) {
       if (far != 0 && j + far < m) {
-        const Survivor& s = survivors_[j + far];
-        hh_[s.node].prefetch(s.hash);
+        const Survivor& f = s[j + far];
+        node(f.node).prefetch(f.hash);
       }
       if constexpr (has_counter_stage) {
         if (far != 0 && j + near < m) {
-          const Survivor& s = survivors_[j + near];
-          hh_[s.node].prefetch_counter(s.mkey, s.hash);
+          const Survivor& c = s[j + near];
+          node(c.node).prefetch_counter(c.mkey(), c.hash);
         }
       }
-      const Survivor& s = survivors_[j];
-      hh_[s.node].increment_hashed(s.mkey, s.hash, 1);
+      node(s[j].node).increment_hashed(s[j].mkey(), s[j].hash, 1);
     }
   } else {
-    for (std::size_t j = 0; j < m; ++j) {
-      const Survivor& s = survivors_[j];
-      hh_[s.node].increment(s.mkey, 1);
-    }
+    for (std::size_t j = 0; j < m; ++j) node(s[j].node).increment(s[j].mkey(), 1);
   }
-  updates_ += m;
 }
 
 template <class Backend>
 void LatticeHhh<Backend>::update_batch(const Key128* keys, std::size_t n) {
   if (n == 0) return;
   n_ += n;
-  const auto hash_or_zero = [&](const Key128& k) -> std::uint64_t {
-    if constexpr (backend_prefetchable()) return Backend::hash_of(k);
-    (void)k;
-    return 0;
-  };
-  switch (mode_) {
-    case LatticeMode::kRhhh: {
-      // Stage 1: block-RNG with branchless compaction. The generator chain
-      // is serial (state-carried), so it is the loop's latency bound; the
-      // Lemire multiply-shift reduction and the pick store ride for free in
-      // its shadow. Compaction is a blind store plus a flag add -- no
-      // data-dependent branch, so the ~H/V random "survivor" pattern (1 in
-      // 10 for 10-RHHH) costs zero mispredicts, unlike the per-packet
-      // path's d < H branch. Draw i*r+j is packet i's j-th draw -- exactly
-      // the sequence n per-packet update() calls would consume.
-      const std::size_t total_draws = n * p_.r;
-      picks_.resize(total_draws);
-      std::uint64_t* pk = picks_.data();
-      const std::uint64_t v = V_;
-      std::size_t m = 0;
-      for (std::size_t i = 0; i < total_draws; ++i) {
-        const auto d = static_cast<std::uint32_t>(((rng_() >> 32) * v) >> 32);
-        // Dead entries (d >= H) are overwritten by the next iteration; only
-        // pk[0..m) is ever read, and those all carry d < H (< 2^16).
-        pk[m] = (static_cast<std::uint64_t>(i) << 16) | d;
-        m += d < H_ ? 1 : 0;
-      }
-      // Stage 2: survivor build over the compacted picks only -- a passing
-      // draw pays its mask + hash here, once, off the probe path.
-      const std::uint32_t r = p_.r;
-      survivors_.resize(m);
-      for (std::size_t j = 0; j < m; ++j) {
-        const std::uint64_t e = pk[j];
-        const auto d = static_cast<std::uint32_t>(e & 0xffff);
-        const auto di = static_cast<std::size_t>(e >> 16);
-        const std::size_t pkt = r == 1 ? di : di / r;
-        const Key128 mkey = h_->mask_key(d, keys[pkt]);
-        survivors_[j] =
-            Survivor{d, static_cast<std::uint32_t>(pkt), hash_or_zero(mkey), mkey};
-      }
-      break;
-    }
-    case LatticeMode::kMst: {
-      // Every packet updates all H nodes: the "survivors" are all (packet,
-      // node) pairs, which still amortizes the per-node mask + hash compute
-      // away from the probes and lets the apply loop prefetch across the
-      // whole H*n sequence.
-      survivors_.resize(n * H_);
-      std::size_t w = 0;
-      for (std::size_t i = 0; i < n; ++i) {
-        for (std::uint32_t d = 0; d < H_; ++d) {
-          const Key128 mkey = h_->mask_key(d, keys[i]);
-          survivors_[w++] = Survivor{d, static_cast<std::uint32_t>(i),
-                                     hash_or_zero(mkey), mkey};
-        }
-      }
-      break;
-    }
-    case LatticeMode::kSampledMst: {
-      // One draw per packet (same order as per-packet update()), compacted
-      // branchlessly as in kRhhh; a sampled packet fans out across all H
-      // nodes in stage 2.
-      picks_.resize(n);
-      std::uint64_t* pk = picks_.data();
-      const std::uint64_t v = V_;
-      std::size_t m = 0;
-      for (std::size_t i = 0; i < n; ++i) {
-        const auto d = static_cast<std::uint32_t>(((rng_() >> 32) * v) >> 32);
-        pk[m] = i;
-        m += d < H_ ? 1 : 0;
-      }
-      survivors_.resize(m * H_);
-      std::size_t w = 0;
-      for (std::size_t j = 0; j < m; ++j) {
-        const auto pkt = static_cast<std::size_t>(pk[j]);
-        for (std::uint32_t d = 0; d < H_; ++d) {
-          const Key128 mkey = h_->mask_key(d, keys[pkt]);
-          survivors_[w++] = Survivor{d, static_cast<std::uint32_t>(pkt),
-                                     hash_or_zero(mkey), mkey};
-        }
-      }
-      break;
+  // Stage 1: the block's draws, compacted to survivors (block_sampler.hpp).
+  const std::size_t m = sampler_.draw(n);
+  const std::uint64_t* pk = sampler_.picks();
+  // Stage 2: survivor build over the compacted picks only -- a passing
+  // draw pays its mask + hash here, once, off the probe path. MST and
+  // Sampled-MST survivors fan out across all H nodes, which still
+  // amortizes the per-node mask + hash away from the probes and lets the
+  // apply loop prefetch across the whole sequence.
+  const bool fan_out = mode_ != LatticeMode::kRhhh;
+  survivors_.resize(fan_out ? m * H_ : m);
+  std::size_t w = 0;
+  for (std::size_t j = 0; j < m; ++j) {
+    const Key128& key = keys[BlockSampler::packet_of(pk[j])];
+    if (fan_out) {
+      for (std::uint32_t d = 0; d < H_; ++d) survivors_[w++] = survivor(d, key);
+    } else {
+      survivors_[w++] = survivor(BlockSampler::node_of(pk[j]), key);
     }
   }
-  apply_survivors();
+  apply_survivors(survivors_.data(), w);
+  updates_ += w;
+}
+
+template <class Backend>
+template <class ForAll>
+std::uint64_t LatticeHhh<Backend>::apply_records(const SampledUpdate* u,
+                                                 std::size_t n, ForAll&& all) {
+  // Stages 2-3 in fixed chunks on the stack: concurrent appliers share this
+  // instance, so the work list cannot live in a member.
+  constexpr std::size_t kChunk = 256;
+  Survivor buf[kChunk];
+  std::size_t fill = 0;
+  std::uint64_t applied = 0;
+  const auto push = [&](std::uint32_t d, const Key128& key) {
+    buf[fill++] = survivor(d, key);
+    if (fill == kChunk) {
+      apply_survivors(buf, fill);
+      applied += fill;
+      fill = 0;
+    }
+  };
+  for (std::size_t i = 0; i < n; ++i) {
+    const SampledUpdate& r = u[i];
+    if (r.node == BlockSampler::kAllNodes) {
+      all([&](std::uint32_t d) { push(d, r.key); });
+    } else if (r.node != BlockSampler::kNoNode) {
+      push(r.node, r.key);
+    }
+  }
+  apply_survivors(buf, fill);
+  return applied + fill;
+}
+
+template <class Backend>
+std::uint64_t LatticeHhh<Backend>::apply(const SampledUpdate* u, std::size_t n) {
+  return apply_records(u, n, [&](auto&& f) {
+    for (std::uint32_t d = 0; d < H_; ++d) f(d);
+  });
+}
+
+template <class Backend>
+std::uint64_t LatticeHhh<Backend>::apply(const SampledUpdate* u, std::size_t n,
+                                         std::span<const std::uint32_t> nodes) {
+  return apply_records(u, n, [&](auto&& f) {
+    for (const std::uint32_t d : nodes) f(d);
+  });
 }
 
 template <class Backend>
@@ -216,23 +202,23 @@ void LatticeHhh<Backend>::update_weighted(Key128 x, std::uint64_t w) {
   switch (mode_) {
     case LatticeMode::kRhhh:
       for (std::uint32_t i = 0; i < p_.r; ++i) {
-        const std::uint32_t d = rng_.bounded(V_);
+        const std::uint32_t d = sampler_.draw_one();
         if (d < H_) {
-          hh_[d].increment(h_->mask_key(d, x), w);
+          node(d).increment(h_->mask_key(d, x), w);
           ++updates_;
         }
       }
       break;
     case LatticeMode::kMst:
       for (std::uint32_t d = 0; d < H_; ++d) {
-        hh_[d].increment(h_->mask_key(d, x), w);
+        node(d).increment(h_->mask_key(d, x), w);
       }
       updates_ += H_;
       break;
     case LatticeMode::kSampledMst:
-      if (rng_.bounded(V_) < H_) {
+      if (sampler_.draw_one() < H_) {
         for (std::uint32_t d = 0; d < H_; ++d) {
-          hh_[d].increment(h_->mask_key(d, x), w);
+          node(d).increment(h_->mask_key(d, x), w);
         }
         updates_ += H_;
       }
@@ -267,14 +253,14 @@ HhhSet LatticeHhh<Backend>::output(double theta) const {
   const double corr = correction();
 
   const UpperEstimate glb_upper = [this](const Prefix& q) {
-    return scale_ * static_cast<double>(hh_[q.node].upper(q.key));
+    return scale_ * static_cast<double>(node(q.node).upper(q.key));
   };
 
   // Levels from fully specified (0) to fully general (Definition 8's order).
   for (int level = 0; level < h_->num_levels(); ++level) {
-    for (const std::uint32_t node : h_->nodes_at_level(level)) {
-      hh_[node].for_each([&](const Key128& key, std::uint64_t up, std::uint64_t lo) {
-        const Prefix p{node, key};
+    for (const std::uint32_t d : h_->nodes_at_level(level)) {
+      node(d).for_each([&](const Key128& key, std::uint64_t up, std::uint64_t lo) {
+        const Prefix p{d, key};
         const double f_hi = scale_ * static_cast<double>(up);
         const double f_lo = scale_ * static_cast<double>(lo);
         // Candidates whose upper bound plus sampling slack cannot reach the
@@ -301,7 +287,7 @@ void LatticeHhh<Backend>::merge(const LatticeHhh& other) {
         "LatticeHhh::merge: instances must share hierarchy, mode, V and r");
   }
   if constexpr (backend_mergeable()) {
-    for (std::uint32_t d = 0; d < H_; ++d) hh_[d].merge(other.hh_[d]);
+    for (std::uint32_t d = 0; d < H_; ++d) node(d).merge(other.node(d));
     n_ += other.n_;
     updates_ += other.updates_;
   } else {
@@ -314,20 +300,20 @@ std::vector<BackendProbe> LatticeHhh<Backend>::health_probes() const {
   std::vector<BackendProbe> out;
   if constexpr (backend_probeable()) {
     out.reserve(H_);
-    for (std::uint32_t d = 0; d < H_; ++d) out.push_back(hh_[d].probe());
+    for (std::uint32_t d = 0; d < H_; ++d) out.push_back(node(d).probe());
   }
   return out;
 }
 
 template <class Backend>
-void LatticeHhh<Backend>::restore_node(std::uint32_t node,
+void LatticeHhh<Backend>::restore_node(std::uint32_t d,
                                        const std::vector<HhEntry<Key128>>& entries,
                                        std::uint64_t total) {
-  if (node >= H_) {
+  if (d >= H_) {
     throw std::invalid_argument("LatticeHhh::restore_node: node out of range");
   }
   if constexpr (backend_loadable()) {
-    hh_[node].load(entries, total);
+    node(d).load(entries, total);
   } else {
     throw std::logic_error("LatticeHhh::restore_node: backend has no load path");
   }
@@ -335,10 +321,10 @@ void LatticeHhh<Backend>::restore_node(std::uint32_t node,
 
 template <class Backend>
 void LatticeHhh<Backend>::clear() {
-  for (auto& inst : hh_) inst.clear();
+  for (NodeSlot& slot : nodes_) slot.hh.clear();
   n_ = 0;
   updates_ = 0;
-  rng_ = Xoroshiro128(p_.seed);
+  sampler_.reseed(p_.seed);
 }
 
 template class LatticeHhh<SpaceSaving<Key128>>;

@@ -19,26 +19,18 @@
 #include <concepts>
 #include <cstdint>
 #include <memory>
+#include <span>
 #include <string>
+#include <vector>
 
 #include "hh/backend.hpp"
+#include "hhh/block_sampler.hpp"
 #include "hhh/conditioned.hpp"
 #include "hhh/hhh_types.hpp"
 #include "stats/normal.hpp"
 #include "util/random.hpp"
 
 namespace rhhh {
-
-enum class LatticeMode : std::uint8_t { kRhhh, kMst, kSampledMst };
-
-[[nodiscard]] constexpr std::string_view to_string(LatticeMode m) noexcept {
-  switch (m) {
-    case LatticeMode::kRhhh: return "RHHH";
-    case LatticeMode::kMst: return "MST";
-    case LatticeMode::kSampledMst: return "Sampled-MST";
-  }
-  return "?";
-}
 
 struct LatticeParams {
   double eps = 1e-3;    ///< overall accuracy target (split eps_a = eps_s = eps/2)
@@ -74,23 +66,23 @@ class LatticeHhh final : public HhhAlgorithm {
     switch (mode_) {
       case LatticeMode::kRhhh:
         for (std::uint32_t i = 0; i < p_.r; ++i) {
-          const std::uint32_t d = rng_.bounded(V_);
+          const std::uint32_t d = sampler_.draw_one();
           if (d < H_) {
-            hh_[d].increment(h_->mask_key(d, x), 1);
+            node(d).increment(h_->mask_key(d, x), 1);
             ++updates_;
           }
         }
         break;
       case LatticeMode::kMst:
         for (std::uint32_t d = 0; d < H_; ++d) {
-          hh_[d].increment(h_->mask_key(d, x), 1);
+          node(d).increment(h_->mask_key(d, x), 1);
         }
         updates_ += H_;
         break;
       case LatticeMode::kSampledMst:
-        if (rng_.bounded(V_) < H_) {
+        if (sampler_.draw_one() < H_) {
           for (std::uint32_t d = 0; d < H_; ++d) {
-            hh_[d].increment(h_->mask_key(d, x), 1);
+            node(d).increment(h_->mask_key(d, x), 1);
           }
           updates_ += H_;
         }
@@ -98,40 +90,46 @@ class LatticeHhh final : public HhhAlgorithm {
     }
   }
 
-  /// Batched update (the engine hot path): a staged pipeline equivalent to
-  /// n update() calls in order, byte for byte.
+  /// Batched update (the single-threaded hot path): sample + apply in
+  /// place, equivalent to n update() calls in order, byte for byte.
   ///
-  ///   1. block-RNG     -- all sampling draws for the batch generated in
-  ///                       one tight Lemire-bounded loop with *branchless*
-  ///                       survivor compaction: the serial generator chain
-  ///                       is the loop's latency bound and the reduction,
-  ///                       pick store, and flag add ride in its shadow, so
-  ///                       the random ~H/V survivor pattern costs zero
-  ///                       branch mispredicts (the per-packet path eats one
-  ///                       ~10%-taken branch per draw). Draws are consumed
-  ///                       in packet order (r per packet), so the RNG state
-  ///                       after the batch matches the per-packet path
-  ///                       exactly.
-  ///   2. survivor build -- the compacted picks (draw < H; in 10-RHHH ~1
-  ///                       packet in 10) expand into a dense list carrying
-  ///                       the lattice node, the node-masked key and its
-  ///                       backend hash: the common no-op packet costs one
-  ///                       draw and two blind stores, and the per-node mask
-  ///                       + hash work is paid once here, not at the probe.
-  ///   3. apply         -- survivors replayed in packet order against the
-  ///                       per-node backends, index slots software-
-  ///                       prefetched `prefetch_distance` slots ahead and
-  ///                       counter cells half that distance ahead (the
-  ///                       dependent second touch), for backends exposing
-  ///                       the hash/probe split (Space-Saving, Count-Min,
-  ///                       Count Sketch); others apply unprefeteched.
+  ///   1. sample  -- BlockSampler::draw: the block's level draws with
+  ///                 branchless survivor compaction (block_sampler.hpp).
+  ///   2. build   -- each survivor (node, key) expands into the node-masked
+  ///                 key and its backend hash: the common no-op packet
+  ///                 costs one draw and two blind stores, and the per-node
+  ///                 mask + hash work is paid once here, not at the probe.
+  ///   3. apply   -- survivors replayed in packet order against the
+  ///                 per-node backends, index slots software-prefetched
+  ///                 `prefetch_distance` slots ahead and counter cells half
+  ///                 that distance ahead (the dependent second touch), for
+  ///                 backends exposing the hash/probe split (Space-Saving,
+  ///                 Count-Min, Count Sketch); others apply unprefetched.
   ///
-  /// MST batches stage 2/3 over every (packet, node) pair (no draws);
-  /// Sampled-MST draws once per packet and fans survivors across all H
-  /// nodes. Per-node increment order equals the per-packet path's, so all
-  /// modes produce identical output()/estimate() state (golden-digest
-  /// pinned in tests/test_batch.cpp).
+  /// Per-node increment order equals the per-packet path's, so all modes
+  /// produce identical output()/estimate() state (golden-digest pinned in
+  /// tests/test_batch.cpp).
   void update_batch(const Key128* keys, std::size_t n) override;
+
+  /// Stages 2-3 for records sampled elsewhere (an engine producer, a
+  /// switch): each SampledUpdate's key is applied at its node, a kAllNodes
+  /// record at every lattice node, and a kNoNode record nowhere. Returns
+  /// the backend increments performed. Touches only the per-node backends,
+  /// never N or the update tally -- the caller folds those in with
+  /// advance_stream() -- so threads applying to disjoint node sets may
+  /// share one instance (node backends sit a cache line apart).
+  std::uint64_t apply(const SampledUpdate* u, std::size_t n);
+  /// apply() for a thread owning only `nodes`: a kAllNodes record updates
+  /// exactly those nodes. Records addressed to single nodes must be owned.
+  std::uint64_t apply(const SampledUpdate* u, std::size_t n,
+                      std::span<const std::uint32_t> nodes);
+
+  /// A fresh sampler over this instance's draw stream (same mode, V, H, r
+  /// and seed): its draw() followed by apply() of the survivors reproduces
+  /// update_batch() on an instance that has not drawn yet.
+  [[nodiscard]] BlockSampler make_sampler() const noexcept {
+    return BlockSampler(mode_, V_, H_, p_.r, p_.seed);
+  }
 
   /// Weighted arrival: behaves as w consecutive packets of key x, but the
   /// randomized modes draw once and feed the whole weight through (the
@@ -140,16 +138,13 @@ class LatticeHhh final : public HhhAlgorithm {
 
   [[nodiscard]] HhhSet output(double theta) const override;
 
-  // -- distributed deployment support (paper Section 5.2) -------------------
-  /// Ingest one pre-sampled record: the switch already drew d < H and
-  /// forwarded (d, x); this applies the corresponding per-node update.
-  void ingest_sampled(std::uint32_t node, Key128 x) {
-    hh_[node].increment(h_->mask_key(node, x), 1);
-    ++updates_;
+  /// Account for `packets` offered upstream (sampled or not) so that
+  /// thresholds and slack terms use the true stream length N, and for
+  /// `updates` backend increments apply() performed.
+  void advance_stream(std::uint64_t packets, std::uint64_t updates = 0) noexcept {
+    n_ += packets;
+    updates_ += updates;
   }
-  /// Account for `packets` offered at the switch (sampled or not) so that
-  /// thresholds and slack terms use the true stream length N.
-  void advance_stream(std::uint64_t packets) noexcept { n_ += packets; }
 
   /// Merge a same-configuration instance observing a *different* stream
   /// (paper Section 7: the distributed deployment "is capable of analyzing
@@ -192,8 +187,8 @@ class LatticeHhh final : public HhhAlgorithm {
   [[nodiscard]] double scale() const noexcept { return scale_; }
   /// Total backend increments performed (the work RHHH saves).
   [[nodiscard]] std::uint64_t updates_performed() const noexcept { return updates_; }
-  [[nodiscard]] const Backend& instance(std::uint32_t node) const noexcept {
-    return hh_[node];
+  [[nodiscard]] const Backend& instance(std::uint32_t d) const noexcept {
+    return node(d);
   }
   [[nodiscard]] std::size_t counters_per_node() const noexcept { return counters_; }
   /// Apply-loop prefetch lookahead (see LatticeParams::prefetch_distance);
@@ -233,7 +228,7 @@ class LatticeHhh final : public HhhAlgorithm {
   /// Point estimate f-hat for an arbitrary prefix (Definition 11's
   /// V * X-hat, using the backend's upper estimate).
   [[nodiscard]] double estimate(const Prefix& p) const override {
-    return scale_ * static_cast<double>(hh_[p.node].upper(p.key));
+    return scale_ * static_cast<double>(node(p.node).upper(p.key));
   }
 
   // -- durable-store reload (src/store/serde.cpp) ---------------------------
@@ -273,26 +268,39 @@ class LatticeHhh final : public HhhAlgorithm {
   std::size_t counters_ = 0;
   std::uint32_t V_ = 1;
   std::uint32_t H_ = 1;
-  std::vector<Backend> hh_;
-  Xoroshiro128 rng_;
+  /// One node's backend, padded to its own cache lines: threads applying
+  /// to different nodes of one instance never false-share a header.
+  struct alignas(64) NodeSlot {
+    Backend hh;
+  };
+  [[nodiscard]] Backend& node(std::uint32_t d) noexcept { return nodes_[d].hh; }
+  [[nodiscard]] const Backend& node(std::uint32_t d) const noexcept {
+    return nodes_[d].hh;
+  }
+  std::vector<NodeSlot> nodes_;
+  BlockSampler sampler_;
   std::uint64_t n_ = 0;
   std::uint64_t updates_ = 0;
 
-  // -- update_batch() scratch (reused across batches; no semantic state, so
-  //    clear() leaves them alone and they never serialize) ------------------
-  /// One survivor of the compaction pass: packet order is preserved, so the
-  /// apply loop replays increments in exactly the per-packet sequence.
+  /// One unit of stage-3 work: packet order is preserved, so the apply loop
+  /// replays increments in exactly the per-packet sequence. Trivially
+  /// default-constructible (the masked key is stored as two words), so the
+  /// stack chunks of apply() cost nothing to declare.
   struct Survivor {
-    std::uint32_t node;  ///< lattice node the draw selected
-    std::uint32_t pkt;   ///< originating batch index (diagnostics/asserts)
-    std::uint64_t hash;  ///< Backend::hash_of(mkey); 0 if not prefetchable
-    Key128 mkey;         ///< node-masked key, ready to apply
+    std::uint64_t hash;    ///< Backend::hash_of(mkey); 0 if not prefetchable
+    std::uint64_t mkey_hi;  ///< node-masked key, ready to apply
+    std::uint64_t mkey_lo;
+    std::uint32_t node;    ///< lattice node to update
+    [[nodiscard]] Key128 mkey() const noexcept { return Key128{mkey_hi, mkey_lo}; }
   };
-  /// Stage-1 compacted picks, packed (draw_index << 16) | node -- H < 2^16
-  /// is enforced at construction, and only the surviving prefix is read.
-  std::vector<std::uint64_t> picks_;
-  std::vector<Survivor> survivors_;    ///< stage-2 masked + hashed work list
-  void apply_survivors();              ///< stage 3 (lattice_hhh.cpp)
+  [[nodiscard]] Survivor survivor(std::uint32_t d, const Key128& key) const noexcept;
+  /// Stage 3 over s[0, m) (lattice_hhh.cpp).
+  void apply_survivors(const Survivor* s, std::size_t m);
+  template <class ForAll>
+  std::uint64_t apply_records(const SampledUpdate* u, std::size_t n, ForAll&& all);
+  /// update_batch()'s stage-2 work list, reused across batches (no semantic
+  /// state: clear() leaves it alone and it never serializes).
+  std::vector<Survivor> survivors_;
 };
 
 }  // namespace rhhh

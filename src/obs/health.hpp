@@ -4,8 +4,8 @@
 // Three pieces:
 //
 //   * certify_window() folds the per-node BackendProbe snapshots of one or
-//     more same-configuration lattice shards (index-aligned, like
-//     TrendSnapshot's merge) into an AccuracyCertificate: an empirical
+//     more same-configuration lattices over disjoint sub-streams (node by
+//     node, index-aligned) into an AccuracyCertificate: an empirical
 //     additive-error upper bound recomputed from what the backends actually
 //     hold (max node min-count / N), the Theorem 6.11/6.15 sampling slack at
 //     the drop-folded cross-shard N, and structure-health aggregates

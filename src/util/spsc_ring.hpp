@@ -1,7 +1,7 @@
 // SpscRing: a bounded lock-free single-producer/single-consumer queue.
 //
 // This is the forwarding channel of the "distributed" measurement deployment
-// (paper §5.2) and of every producer→worker link in the sharded engine
+// (paper §5.2) and of every producer→worker link in the multi-core engine
 // (src/engine/): a dataplane thread pushes packet records, a measurement /
 // worker thread pops them. A full ring drops the record (and the caller
 // counts it), mirroring a saturated forwarding port.
@@ -16,9 +16,9 @@
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
+#include <memory>
 #include <new>
 #include <type_traits>
-#include <vector>
 
 #include "util/bits.hpp"
 
@@ -38,9 +38,11 @@ class SpscRing {
   /// Capacity is rounded up to a power of two; one slot is kept free to
   /// distinguish full from empty, so usable capacity is `capacity() - 1`.
   explicit SpscRing(std::size_t capacity)
-      : buf_(next_pow2(capacity < 2 ? 2 : capacity)), mask_(buf_.size() - 1) {}
+      : mask_(next_pow2(capacity < 2 ? 2 : capacity) - 1),
+        buf_(static_cast<T*>(::operator new(sizeof(T) * (mask_ + 1),
+                                            std::align_val_t{alignof(T)}))) {}
 
-  [[nodiscard]] std::size_t capacity() const noexcept { return buf_.size(); }
+  [[nodiscard]] std::size_t capacity() const noexcept { return mask_ + 1; }
 
   /// Producer side. Returns false (drops) when the ring is full.
   bool try_push(const T& v) noexcept {
@@ -55,7 +57,7 @@ class SpscRing {
       head_cache_ = head_.load(std::memory_order_acquire);
       if (next == head_cache_) return false;
     }
-    buf_[tail] = v;
+    buf_.get()[tail] = v;
     // order: release -- publishes buf_[tail]; pairs with the consumer's
     // acquire load of tail_, which must observe the record, not the slot's
     // stale bytes.
@@ -73,7 +75,7 @@ class SpscRing {
       tail_cache_ = tail_.load(std::memory_order_acquire);
       if (head == tail_cache_) return false;
     }
-    out = buf_[head];
+    out = buf_.get()[head];
     // order: release -- returns the slot to the producer; pairs with the
     // producer's acquire load of head_ so our read of buf_[head] completes
     // before the slot can be overwritten.
@@ -97,7 +99,8 @@ class SpscRing {
       if (free == 0) return 0;
     }
     const std::size_t cnt = std::min(n, free);
-    for (std::size_t i = 0; i < cnt; ++i) buf_[(tail + i) & mask_] = v[i];
+    T* buf = buf_.get();
+    for (std::size_t i = 0; i < cnt; ++i) buf[(tail + i) & mask_] = v[i];
     // order: release -- one publish for the whole batch; pairs with the
     // consumer's acquire load of tail_.
     tail_.store((tail + cnt) & mask_, std::memory_order_release);
@@ -120,7 +123,8 @@ class SpscRing {
       if (avail == 0) return 0;
     }
     const std::size_t cnt = std::min(max, avail);
-    for (std::size_t i = 0; i < cnt; ++i) out[i] = buf_[(head + i) & mask_];
+    const T* buf = buf_.get();
+    for (std::size_t i = 0; i < cnt; ++i) out[i] = buf[(head + i) & mask_];
     // order: release -- one publish returns the whole batch of slots; pairs
     // with the producer's acquire load of head_.
     head_.store((head + cnt) & mask_, std::memory_order_release);
@@ -138,8 +142,18 @@ class SpscRing {
   }
 
  private:
-  std::vector<T> buf_;
+  struct Release {
+    void operator()(T* p) const noexcept {
+      ::operator delete(p, std::align_val_t{alignof(T)});
+    }
+  };
+
   std::size_t mask_;
+  /// Raw slot storage, never value-initialized: T is trivially copyable and
+  /// every slot is written before it is read, so constructing a ring
+  /// touches no pages -- a large ring costs page faults only as far as
+  /// traffic actually reaches.
+  std::unique_ptr<T, Release> buf_;
   alignas(kCacheLine) std::atomic<std::size_t> head_{0};  // consumer index
   alignas(kCacheLine) std::size_t tail_cache_ = 0;        // consumer's view of tail
   alignas(kCacheLine) std::atomic<std::size_t> tail_{0};  // producer index

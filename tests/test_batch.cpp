@@ -171,6 +171,81 @@ TEST(BatchEquivalence, MultiUpdateFactorRhhh) {
             digest_set_ordered(h, batched.output(0.01)));
 }
 
+/// The engine / switch split of update_batch: BlockSampler::draw at the
+/// packet source, SampledUpdate records in transport, LatticeHhh::apply at
+/// the lattice -- once over all nodes, and once split between two owners of
+/// disjoint node sets applied one after the other (the engine's workers).
+/// Both must leave the lattice byte-identical to update_batch.
+void expect_sample_apply_equivalent(LatticeMode mode, std::uint32_t v_mult,
+                                    std::uint32_t r) {
+  SCOPED_TRACE(::testing::Message() << to_string(mode) << " V=" << v_mult
+                                    << "H r=" << r);
+  const Hierarchy h = Hierarchy::ipv4_2d(Granularity::kByte);
+  const auto H = static_cast<std::uint32_t>(h.size());
+  LatticeParams lp;
+  lp.eps = 0.02;
+  lp.delta = 0.05;
+  lp.V = v_mult * H;
+  lp.r = r;
+  lp.seed = 31;
+  RhhhSpaceSaving batched(h, mode, lp);
+  RhhhSpaceSaving split(h, mode, lp);
+  RhhhSpaceSaving owned(h, mode, lp);
+  const std::vector<Key128> keys = make_stream(40000, 88);
+  feed_batched(batched, keys, 9);
+
+  // Two owners: even nodes and odd nodes.
+  std::vector<std::uint32_t> nodes[2];
+  for (std::uint32_t d = 0; d < H; ++d) nodes[d % 2].push_back(d);
+  BlockSampler sampler = split.make_sampler();
+  std::vector<SampledUpdate> records;
+  std::vector<SampledUpdate> per_owner[2];
+  Xoroshiro128 rng(9);  // the same chunking feed_batched used
+  for (std::size_t i = 0; i < keys.size();) {
+    std::size_t take = rng.bounded(257);
+    if (take > keys.size() - i) take = keys.size() - i;
+    const std::size_t m = sampler.draw(take);
+    records.clear();
+    per_owner[0].clear();
+    per_owner[1].clear();
+    for (std::size_t j = 0; j < m; ++j) {
+      const std::uint64_t pick = sampler.picks()[j];
+      const SampledUpdate u{keys[i + BlockSampler::packet_of(pick)],
+                            BlockSampler::node_of(pick), 0};
+      records.push_back(u);
+      if (u.node == BlockSampler::kAllNodes) {
+        per_owner[0].push_back(u);
+        per_owner[1].push_back(u);
+      } else {
+        per_owner[u.node % 2].push_back(u);
+      }
+    }
+    split.advance_stream(take, split.apply(records.data(), records.size()));
+    std::uint64_t applied = 0;
+    for (int w = 0; w < 2; ++w) {
+      applied += owned.apply(per_owner[w].data(), per_owner[w].size(), nodes[w]);
+    }
+    owned.advance_stream(take, applied);
+    i += take;
+  }
+  for (const RhhhSpaceSaving* alg : {&split, &owned}) {
+    EXPECT_EQ(alg->stream_length(), batched.stream_length());
+    EXPECT_EQ(alg->updates_performed(), batched.updates_performed());
+    EXPECT_EQ(digest_nodes(*alg, H), digest_nodes(batched, H));
+    EXPECT_EQ(digest_set_ordered(h, alg->output(0.01)),
+              digest_set_ordered(h, batched.output(0.01)));
+  }
+}
+
+TEST(BatchEquivalence, SampleThenApplyMatchesUpdateBatch) {
+  for (const std::uint32_t r : {1u, 2u}) {
+    expect_sample_apply_equivalent(LatticeMode::kRhhh, 1, r);   // V = H
+    expect_sample_apply_equivalent(LatticeMode::kRhhh, 10, r);  // V = 10H
+  }
+  expect_sample_apply_equivalent(LatticeMode::kSampledMst, 10, 1);
+  expect_sample_apply_equivalent(LatticeMode::kMst, 1, 1);
+}
+
 TEST(BatchEquivalence, PrefetchDistanceNeverChangesResults) {
   // prefetch_distance is a pure performance knob: every setting (off, tiny,
   // default, huge) must produce the identical roster digest.

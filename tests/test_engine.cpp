@@ -1,8 +1,9 @@
-// Tests for the sharded multi-core ingest engine (src/engine/): shard
-// routing, config validation, the single-shard == single-LatticeHhh
-// equivalence the snapshot path promises, multi-shard coverage against
-// exact ground truth, epoch accounting, drop/backpressure accounting, and a
-// producer/worker thread stress (the W>=4 case CI runs under ASan/UBSan).
+// Tests for the node-partitioned multi-core ingest engine (src/engine/):
+// the standalone key router, config validation, node ownership, the
+// one-producer engine == one LatticeHhh byte-identity for any worker
+// count, multi-worker coverage against exact ground truth, epoch
+// accounting, drop/backpressure accounting, and a producer/worker thread
+// stress (the W>=4 case CI runs under ASan/UBSan).
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -170,17 +171,191 @@ TEST(EngineTest, SingleShardMatchesSingleLattice) {
   }
 }
 
+// -------------------------------------- one producer == one lattice ----
+
+/// In-order digest of every node's roster plus the stream counters: equal
+/// digests mean byte-identical lattice state, not just equal answers.
+std::uint64_t lattice_digest(const RhhhSpaceSaving& lat) {
+  std::uint64_t d = 14695981039346656037ULL;
+  const auto mix = [&](std::uint64_t v) {
+    for (int i = 0; i < 8; ++i) {
+      d ^= (v >> (8 * i)) & 0xff;
+      d *= 1099511628211ULL;
+    }
+  };
+  mix(lat.stream_length());
+  mix(lat.updates_performed());
+  for (std::uint32_t node = 0; node < lat.H(); ++node) {
+    mix(node);
+    lat.instance(node).for_each([&](const Key128& k, std::uint64_t up, std::uint64_t lo) {
+      mix(k.hi);
+      mix(k.lo);
+      mix(up);
+      mix(lo);
+    });
+  }
+  return d;
+}
+
+/// In-order digest of an answer: candidate order and full-precision values.
+std::uint64_t answer_digest(const Hierarchy& h, const HhhSet& s) {
+  std::uint64_t d = 14695981039346656037ULL;
+  for (const HhhCandidate& c : s) {
+    char buf[160];
+    std::snprintf(buf, sizeof buf, "%s|%.17g|%.17g|%.17g|%.17g",
+                  h.format(c.prefix).c_str(), c.f_est, c.f_lo, c.f_hi, c.c_hat);
+    for (const char* p = buf; *p != '\0'; ++p) {
+      d ^= static_cast<unsigned char>(*p);
+      d *= 1099511628211ULL;
+    }
+  }
+  return d;
+}
+
+/// With one producer the engine draws the lattice's own stream at the
+/// producer and every node sees its updates in packet order, so its lattice
+/// is byte-identical to one LatticeHhh with the same seed -- for every
+/// worker count and every lattice mode (RHHH at V = H and 10H, MST,
+/// Sampled-MST).
+class EngineEquivalence : public ::testing::TestWithParam<std::uint32_t> {};
+
+TEST_P(EngineEquivalence, OneProducerMatchesOneLatticeByteForByte) {
+  const std::vector<Key128> stream = [] {
+    std::vector<Key128> keys;
+    TraceGenerator gen(trace_preset("chicago16"));
+    const Hierarchy h = make_hierarchy(HierarchyKind::kIpv4TwoDimBytes);
+    for (int i = 0; i < 120000; ++i) keys.push_back(h.key_of(gen.next()));
+    return keys;
+  }();
+  for (const AlgorithmKind alg : {AlgorithmKind::kRhhh, AlgorithmKind::kTenRhhh,
+                                  AlgorithmKind::kMst, AlgorithmKind::kSampledMst}) {
+    SCOPED_TRACE(to_string(alg));
+    EngineConfig cfg;
+    cfg.workers = GetParam();
+    cfg.producers = 1;
+    cfg.monitor.algorithm = alg;
+    cfg.monitor.eps = 0.02;
+    cfg.monitor.delta = 0.05;
+    cfg.monitor.seed = 77;
+    HhhEngine eng(cfg);
+    const Hierarchy& h = eng.hierarchy();
+    const auto [mode, lp] = lattice_config_of(h, cfg.monitor);
+    RhhhSpaceSaving reference(h, mode, lp);
+
+    eng.start();
+    HhhEngine::Producer& prod = eng.producer(0);
+    for (std::size_t i = 0; i < stream.size(); ++i) {
+      prod.ingest(stream[i]);
+      reference.update(stream[i]);
+      // A mid-stream snapshot folds counts and copies under quiesce; it
+      // must not perturb the state.
+      if (i == stream.size() / 2) {
+        prod.flush();
+        (void)eng.snapshot();
+      }
+    }
+    prod.flush();
+    eng.stop();
+    const EngineSnapshot snap = eng.snapshot();
+    const RhhhSpaceSaving& got = snap.algorithm();
+    EXPECT_EQ(got.stream_length(), reference.stream_length());
+    EXPECT_EQ(got.updates_performed(), reference.updates_performed());
+    EXPECT_EQ(lattice_digest(got), lattice_digest(reference));
+    EXPECT_EQ(answer_digest(h, got.output(0.02)), answer_digest(h, reference.output(0.02)));
+    // The engine's own lattice, read through every worker index.
+    for (std::uint32_t w = 0; w < eng.workers(); ++w) {
+      EXPECT_EQ(lattice_digest(eng.shard(w)), lattice_digest(reference));
+    }
+    const EngineStats& s = snap.stats();
+    EXPECT_EQ(s.offered, stream.size());
+    EXPECT_EQ(s.consumed, stream.size()) << "every packet is credited exactly once";
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Workers, EngineEquivalence, ::testing::Values(1u, 2u, 3u, 4u),
+                         [](const auto& info) {
+                           // Appended, not "W" + ...: GCC 12's -Wrestrict
+                           // false positive (PR105329).
+                           std::string name = "W";
+                           name += std::to_string(info.param);
+                           return name;
+                         });
+
+/// Node ownership: dealt in level order, snake-wise. Every node has exactly
+/// one owner, per-worker counts differ by at most one, and workers past H
+/// own nothing (they stay idle; no knob changes that).
+TEST(EngineTest, EveryNodeHasOneOwnerAndCountsDifferByAtMostOne) {
+  for (const HierarchyKind kind :
+       {HierarchyKind::kIpv4OneDimBytes, HierarchyKind::kIpv4TwoDimBytes}) {
+    for (const std::uint32_t W : {1u, 2u, 3u, 4u, 7u, 8u, 30u}) {
+      EngineConfig cfg;
+      cfg.monitor.hierarchy = kind;
+      cfg.workers = W;
+      HhhEngine eng(cfg);
+      const std::uint32_t H = eng.shard(0).H();
+      SCOPED_TRACE(::testing::Message() << "H=" << H << " W=" << W);
+      std::vector<int> owners(H, 0);
+      std::size_t lo = H;
+      std::size_t hi = 0;
+      for (std::uint32_t w = 0; w < W; ++w) {
+        const std::vector<std::uint32_t>& nodes = eng.owned_nodes(w);
+        for (const std::uint32_t n : nodes) {
+          ASSERT_LT(n, H);
+          ++owners[n];
+        }
+        if (w < H) {
+          lo = std::min(lo, nodes.size());
+          hi = std::max(hi, nodes.size());
+        } else {
+          EXPECT_TRUE(nodes.empty()) << "worker " << w << " is past H";
+        }
+      }
+      for (std::uint32_t n = 0; n < H; ++n) EXPECT_EQ(owners[n], 1) << "node " << n;
+      EXPECT_LE(hi - lo, 1u);
+    }
+  }
+}
+
+/// More workers than nodes: the idle workers run but own nothing, and the
+/// answer is still the single-lattice answer.
+TEST(EngineTest, WorkersBeyondHStayIdle) {
+  EngineConfig cfg;
+  cfg.monitor.hierarchy = HierarchyKind::kIpv4OneDimBytes;  // H = 5
+  cfg.monitor.eps = 0.05;
+  cfg.monitor.delta = 0.05;
+  cfg.workers = 7;
+  HhhEngine eng(cfg);
+  const Hierarchy& h = eng.hierarchy();
+  ASSERT_EQ(h.size(), 5u);
+  const auto [mode, lp] = lattice_config_of(h, cfg.monitor);
+  RhhhSpaceSaving reference(h, mode, lp);
+  eng.start();
+  Xoroshiro128 rng(5);
+  for (int i = 0; i < 50000; ++i) {
+    const Key128 k = Key128::from_u32(static_cast<std::uint32_t>(rng.bounded(3000)));
+    eng.producer(0).ingest(k);
+    reference.update(k);
+  }
+  eng.producer(0).flush();
+  eng.stop();
+  const EngineStats s = eng.stats();
+  EXPECT_EQ(s.per_worker_consumed[5], 0u);
+  EXPECT_EQ(s.per_worker_consumed[6], 0u);
+  EXPECT_EQ(s.consumed, 50000u);
+  EXPECT_EQ(lattice_digest(eng.shard(0)), lattice_digest(reference));
+}
+
 // ------------------------------------------------------- multi-shard ----
 
-/// Sharded ingest + epoch merge must cover every exact HHH of the union
-/// stream, whichever routing policy spreads the packets.
-class EngineCoverage : public ::testing::TestWithParam<ShardPolicy> {};
-
-TEST_P(EngineCoverage, MergedSnapshotCoversExactHhhs) {
+/// Node-partitioned ingest from two producers must cover every exact HHH
+/// of the union stream, whatever the worker count and however the stream
+/// is split between the producers (`split` deals each packet to a producer:
+/// by key hash, so a flow stays on one producer, or round-robin).
+void expect_snapshot_covers_exact_hhhs(std::uint32_t workers, ShardPolicy split) {
+  SCOPED_TRACE(::testing::Message() << "W=" << workers << " split=" << to_string(split));
   EngineConfig cfg;
-  cfg.workers = 4;
+  cfg.workers = workers;
   cfg.producers = 2;
-  cfg.policy = GetParam();
   cfg.monitor.eps = 0.02;
   cfg.monitor.delta = 0.05;
   HhhEngine eng(cfg);
@@ -199,13 +374,21 @@ TEST_P(EngineCoverage, MergedSnapshotCoversExactHhhs) {
   const HhhSet exact = truth.compute(theta);
   ASSERT_GT(exact.size(), 0u);
 
+  std::vector<std::uint32_t> producer_of(stream.size());
+  {
+    ShardRouter router(split, 2, /*salt=*/9);
+    for (std::size_t i = 0; i < stream.size(); ++i) producer_of[i] = router.route(stream[i]);
+  }
+
   eng.start();
-  // Two producer threads, each ingesting half the stream.
+  // Two producer threads, each ingesting its share of the stream in order.
   std::vector<std::thread> threads;
   for (std::uint32_t p = 0; p < 2; ++p) {
     threads.emplace_back([&, p] {
       HhhEngine::Producer& prod = eng.producer(p);
-      for (std::size_t i = p; i < stream.size(); i += 2) prod.ingest(stream[i]);
+      for (std::size_t i = 0; i < stream.size(); ++i) {
+        if (producer_of[i] == p) prod.ingest(stream[i]);
+      }
       prod.flush();
     });
   }
@@ -226,25 +409,49 @@ TEST_P(EngineCoverage, MergedSnapshotCoversExactHhhs) {
         }
       }
     }
-    EXPECT_TRUE(covered) << to_string(GetParam()) << " missing "
-                         << h.format(c.prefix);
+    EXPECT_TRUE(covered) << "missing " << h.format(c.prefix);
   }
 }
 
+/// The producer split at W = 4: key-hash keeps each flow on one producer,
+/// round-robin interleaves every flow across both.
+class EngineCoverage : public ::testing::TestWithParam<ShardPolicy> {};
+
+TEST_P(EngineCoverage, MergedSnapshotCoversExactHhhs) {
+  expect_snapshot_covers_exact_hhhs(4, GetParam());
+}
+
 INSTANTIATE_TEST_SUITE_P(Policies, EngineCoverage,
-                         ::testing::Values(ShardPolicy::kKeyHash,
-                                           ShardPolicy::kRoundRobin),
+                         ::testing::Values(ShardPolicy::kKeyHash, ShardPolicy::kRoundRobin),
                          [](const auto& info) {
-                           return info.param == ShardPolicy::kKeyHash
-                                      ? "KeyHash"
-                                      : "RoundRobin";
+                           return info.param == ShardPolicy::kKeyHash ? "KeyHash"
+                                                                      : "RoundRobin";
                          });
 
+/// The worker counts below 4 (W = 4 is covered above), round-robin split.
+class EngineWorkerCoverage : public ::testing::TestWithParam<std::uint32_t> {};
+
+TEST_P(EngineWorkerCoverage, SnapshotCoversExactHhhs) {
+  expect_snapshot_covers_exact_hhhs(GetParam(), ShardPolicy::kRoundRobin);
+}
+
+INSTANTIATE_TEST_SUITE_P(Workers, EngineWorkerCoverage, ::testing::Values(1u, 2u, 3u),
+                         [](const auto& info) {
+                           // Appended, not "W" + ...: GCC 12's -Wrestrict
+                           // false positive (PR105329).
+                           std::string name = "W";
+                           name += std::to_string(info.param);
+                           return name;
+                         });
+
+// An MST packet updates every node: the producer ships it once to each
+// worker and puts its packet credit on one copy, rotating round-robin, so
+// per-worker counts balance exactly and the one lattice holds the exact
+// network-wide totals.
 TEST(EngineTest, RoundRobinBalancesWorkAndMergeRestoresTotals) {
   EngineConfig cfg;
   cfg.workers = 4;
   cfg.producers = 1;
-  cfg.policy = ShardPolicy::kRoundRobin;
   cfg.monitor.algorithm = AlgorithmKind::kMst;  // deterministic counts
   HhhEngine eng(cfg);
   eng.start();
@@ -256,13 +463,13 @@ TEST(EngineTest, RoundRobinBalancesWorkAndMergeRestoresTotals) {
   eng.stop();
   const EngineSnapshot snap = eng.snapshot();
 
-  // Round-robin spreads the stream exactly evenly over the 4 shards...
+  // Round-robin credit spreads the stream exactly evenly over 4 workers...
   const EngineStats& s = snap.stats();
   ASSERT_EQ(s.per_worker_consumed.size(), 4u);
   for (std::uint32_t w = 0; w < 4; ++w) {
     EXPECT_EQ(s.per_worker_consumed[w], kN / 4) << "worker " << w;
   }
-  // ... and the merged MST lattice recovers the exact network-wide count.
+  // ... and the MST lattice holds the exact network-wide count.
   EXPECT_EQ(snap.stream_length(), kN);
   const Prefix p{eng.hierarchy().bottom(), k};
   EXPECT_DOUBLE_EQ(snap.algorithm().estimate(p), static_cast<double>(kN));
@@ -491,11 +698,11 @@ TEST(TrendEngine, TrendBeforeAnyRotationIsLiveOnly) {
 }
 
 TEST(TrendEngine, IndexAlignedMultiShardTrendMerges) {
-  // Three shards, depth 3, deterministic MST: every per-epoch share below
-  // is exact. Keys hash to different shards, so each sealed epoch's
-  // network-wide lattice only reconstructs correctly if every shard
-  // contributes its ring slot of the SAME age (index alignment); mixing
-  // ages would bleed mass across epochs and break the exact counts.
+  // Three workers, depth 3, deterministic MST: every per-epoch share below
+  // is exact. Each worker applies its own nodes of the one window ring, so
+  // every sealed epoch holds exactly that epoch's packets at every node;
+  // mass bleeding across epochs (a worker applying into the wrong slot)
+  // would break the exact counts.
   EngineConfig cfg;
   cfg.workers = 3;
   cfg.producers = 1;
@@ -555,14 +762,15 @@ TEST(TrendEngine, IndexAlignedMultiShardTrendMerges) {
   EXPECT_TRUE(snap.window(1, 0.9).contains(pb));
   EXPECT_FALSE(snap.window(1, 0.1).contains(pa));
 
-  // Cross-check against per-shard ring slots: summing every shard's age-i
-  // lattice length must equal the merged window length (index alignment).
+  // Cross-check against the ring slots: every worker index reaches the
+  // one sealed lattice of age i, whose length (no drops here) is the
+  // window length.
   for (std::size_t age = 0; age < 3; ++age) {
-    std::uint64_t sum = 0;
     for (std::uint32_t w = 0; w < eng.workers(); ++w) {
-      sum += eng.shard_sealed(w, age).stream_length();
+      EXPECT_EQ(&eng.shard_sealed(w, age), &eng.shard_sealed(0, age));
     }
-    EXPECT_EQ(sum, snap.window_length(age)) << "age " << age;
+    EXPECT_EQ(eng.shard_sealed(0, age).stream_length(), snap.window_length(age))
+        << "age " << age;
   }
 }
 
@@ -732,53 +940,56 @@ std::uint64_t digest_emerging(const Hierarchy& h,
 }  // namespace golden
 
 TEST(TrendEngine, HistoryDepthOneReproducesEpochPairGolden) {
-  // Golden digests recorded from the pre-WindowRing EpochPair engine
-  // (PR 3) on this fixed-seed scenario: the default depth-1 ring must
-  // reproduce the two-window snapshot byte for byte (same shard lattice
-  // salts, same rotation behavior, same drop folding).
-  EngineConfig ecfg;
-  ecfg.monitor.hierarchy = HierarchyKind::kIpv4TwoDimBytes;
-  ecfg.monitor.algorithm = AlgorithmKind::kRhhh;
-  ecfg.monitor.eps = 0.1;
-  ecfg.monitor.delta = 0.1;
-  ecfg.monitor.seed = 11;
-  ecfg.workers = 3;
-  ecfg.producers = 1;
-  HhhEngine eng(ecfg);
-  eng.start();
-  Xoroshiro128 erng(123);
-  HhhEngine::Producer& prod = eng.producer(0);
-  for (int i = 0; i < 30000; ++i) {
-    if (erng.bounded(10) < 3) {
-      prod.ingest(Key128::from_pair(ipv4(20, 0, 0, 2), ipv4(2, 2, 2, 2)));
-    } else {
-      prod.ingest(Key128::from_pair(static_cast<std::uint32_t>(erng()),
-                                    static_cast<std::uint32_t>(erng())));
+  // Golden digests of the two-window snapshot on this fixed-seed scenario,
+  // recorded from the node-partitioned engine. One producer makes the
+  // engine byte-identical to a single LatticeHhh stream for any worker
+  // count, so every W must reproduce the same digests.
+  for (const std::uint32_t workers : {1u, 3u}) {
+    SCOPED_TRACE(::testing::Message() << "W=" << workers);
+    EngineConfig ecfg;
+    ecfg.monitor.hierarchy = HierarchyKind::kIpv4TwoDimBytes;
+    ecfg.monitor.algorithm = AlgorithmKind::kRhhh;
+    ecfg.monitor.eps = 0.1;
+    ecfg.monitor.delta = 0.1;
+    ecfg.monitor.seed = 11;
+    ecfg.workers = workers;
+    ecfg.producers = 1;
+    HhhEngine eng(ecfg);
+    eng.start();
+    Xoroshiro128 erng(123);
+    HhhEngine::Producer& prod = eng.producer(0);
+    for (int i = 0; i < 30000; ++i) {
+      if (erng.bounded(10) < 3) {
+        prod.ingest(Key128::from_pair(ipv4(20, 0, 0, 2), ipv4(2, 2, 2, 2)));
+      } else {
+        prod.ingest(Key128::from_pair(static_cast<std::uint32_t>(erng()),
+                                      static_cast<std::uint32_t>(erng())));
+      }
     }
-  }
-  prod.flush();
-  eng.stop();
-  eng.rotate_epoch();
-  eng.start();
-  for (int i = 0; i < 10000; ++i) {
-    if (erng.bounded(10) < 5) {
-      prod.ingest(Key128::from_pair(ipv4(30, 0, 0, 3), ipv4(3, 3, 3, 3)));
-    } else {
-      prod.ingest(Key128::from_pair(static_cast<std::uint32_t>(erng()),
-                                    static_cast<std::uint32_t>(erng())));
+    prod.flush();
+    eng.stop();
+    eng.rotate_epoch();
+    eng.start();
+    for (int i = 0; i < 10000; ++i) {
+      if (erng.bounded(10) < 5) {
+        prod.ingest(Key128::from_pair(ipv4(30, 0, 0, 3), ipv4(3, 3, 3, 3)));
+      } else {
+        prod.ingest(Key128::from_pair(static_cast<std::uint32_t>(erng()),
+                                      static_cast<std::uint32_t>(erng())));
+      }
     }
+    prod.flush();
+    eng.stop();
+    const WindowedEngineSnapshot snap = eng.window_snapshot();
+    ASSERT_EQ(snap.window_epochs(), 1u);
+    ASSERT_EQ(snap.current_length(), 10000u);
+    ASSERT_EQ(snap.previous_length(), 30000u);
+    const Hierarchy& h = eng.hierarchy();
+    EXPECT_EQ(golden::digest_set(h, snap.current(0.2)), 0xec3fa37ffd6a0c3eULL);
+    EXPECT_EQ(golden::digest_set(h, snap.previous(0.2)), 0x20b6e66c74cf8deeULL);
+    EXPECT_EQ(golden::digest_emerging(h, snap.emerging(0.2, 2.0)),
+              0x14ee01c88872001bULL);
   }
-  prod.flush();
-  eng.stop();
-  const WindowedEngineSnapshot snap = eng.window_snapshot();
-  ASSERT_EQ(snap.window_epochs(), 1u);
-  ASSERT_EQ(snap.current_length(), 10000u);
-  ASSERT_EQ(snap.previous_length(), 30000u);
-  const Hierarchy& h = eng.hierarchy();
-  EXPECT_EQ(golden::digest_set(h, snap.current(0.2)), 0xeb2d4bc442596af9ULL);
-  EXPECT_EQ(golden::digest_set(h, snap.previous(0.2)), 0x63988573466a14bdULL);
-  EXPECT_EQ(golden::digest_emerging(h, snap.emerging(0.2, 2.0)),
-            0x4d1e9ccdc44b0d45ULL);
 }
 
 /// Acceptance criterion: a planted mid-stream burst must be flagged by

@@ -1,14 +1,16 @@
-// Randomized conservation fuzz for the sharded engine: every iteration
-// draws a topology (producers x workers x ring size x batch x router x
-// overflow policy x algorithm x windowing mode) from a seeded RNG, hammers
-// it from concurrent producer threads while a chaos thread takes snapshots,
-// window snapshots and epoch rotations mid-stream, then asserts the
-// conservation invariants the accounting promises:
+// Randomized conservation fuzz for the engine: every iteration draws a
+// topology (producers x workers x ring size x batch x overflow policy x
+// algorithm x windowing mode) from a seeded RNG, hammers it from
+// concurrent producer threads while a chaos thread takes snapshots, window
+// snapshots and epoch rotations mid-stream, then asserts the conservation
+// invariants the accounting promises, every counter in packets (a record
+// counts the packets it accounts for, sampled-out credits included):
 //
 //   * offered == pushed + dropped          (per engine, from per-ring counts)
 //   * pushed == popped per ring            (after stop() drains everything)
 //   * consumed == sum of per-ring pops == sum of per-worker counts
-//   * merged N == sum of shard Ns + drops  (lifetime and per-window views)
+//   * snapshot N == lattice N + drops      (lifetime and per-window views;
+//                                           shard(w) is the one lattice)
 //
 // Registered under the `stress` ctest label: CI runs these under
 // ASan/UBSan, where the interleavings are the point.
@@ -44,12 +46,11 @@ FuzzPlan draw_plan(std::uint64_t seed) {
   cfg.ring_capacity = caps[rng.bounded(3)];
   const std::size_t batches[] = {1, 7, 64};
   cfg.batch = batches[rng.bounded(3)];
-  cfg.policy = rng.bounded(2) == 0 ? ShardPolicy::kKeyHash : ShardPolicy::kRoundRobin;
   cfg.overflow =
       rng.bounded(2) == 0 ? OverflowPolicy::kBlock : OverflowPolicy::kDropTail;
   const AlgorithmKind algs[] = {AlgorithmKind::kRhhh, AlgorithmKind::kTenRhhh,
-                                AlgorithmKind::kMst};
-  cfg.monitor.algorithm = algs[rng.bounded(3)];
+                                AlgorithmKind::kMst, AlgorithmKind::kSampledMst};
+  cfg.monitor.algorithm = algs[rng.bounded(4)];
   cfg.monitor.eps = 0.05;
   cfg.monitor.delta = 0.05;
   cfg.monitor.seed = seed;
@@ -68,7 +69,8 @@ TEST_P(EngineFuzz, ConservationHoldsUnderConcurrentChaos) {
   SCOPED_TRACE(::testing::Message()
                << "seed=" << seed << " W=" << plan.cfg.workers
                << " M=" << plan.cfg.producers << " ring=" << plan.cfg.ring_capacity
-               << " batch=" << plan.cfg.batch << " overflow="
+               << " batch=" << plan.cfg.batch << " alg="
+               << to_string(plan.cfg.monitor.algorithm) << " overflow="
                << to_string(plan.cfg.overflow) << " epoch_packets="
                << plan.cfg.epoch_packets << " n/producer=" << plan.per_producer);
 
@@ -136,17 +138,16 @@ TEST_P(EngineFuzz, ConservationHoldsUnderConcurrentChaos) {
   for (const std::uint64_t c : s.per_worker_consumed) per_worker += c;
   EXPECT_EQ(per_worker, s.consumed);
 
-  // Merged stream lengths (engine quiescent now): the lifetime snapshot
-  // spans every live shard plus all drops; each window view spans its
-  // shards' sub-streams plus exactly its own drops.
-  std::uint64_t live_n = 0;
-  std::uint64_t sealed_n = 0;
+  // Stream lengths (engine quiescent now): the lifetime snapshot spans the
+  // live lattice plus all drops; each window view spans its lattice plus
+  // exactly its own drops. Every worker index reaches the one lattice.
   for (std::uint32_t w = 0; w < eng.workers(); ++w) {
-    live_n += eng.shard(w).stream_length();
-    if (const RhhhSpaceSaving* sealed = eng.shard_sealed(w)) {
-      sealed_n += sealed->stream_length();
-    }
+    EXPECT_EQ(&eng.shard(w), &eng.shard(0));
+    EXPECT_EQ(eng.shard_sealed(w), eng.shard_sealed(0));
   }
+  const std::uint64_t live_n = eng.shard(0).stream_length();
+  const std::uint64_t sealed_n =
+      eng.shard_sealed(0) != nullptr ? eng.shard_sealed(0)->stream_length() : 0;
   const EngineSnapshot life = eng.snapshot();
   EXPECT_EQ(life.stream_length(), live_n + s.dropped);
 
@@ -161,9 +162,9 @@ TEST_P(EngineFuzz, ConservationHoldsUnderConcurrentChaos) {
   }
   EXPECT_EQ(win.stats().window_epochs, eng.window_epochs());
 
-  // K-window trend view: per-age window lengths must equal the
-  // index-aligned sum of the shard ring slots plus exactly that window's
-  // drops, and the newest age must agree with the two-window view.
+  // K-window trend view: per-age window lengths must equal the ring slot's
+  // length plus exactly that window's drops, and the newest age must agree
+  // with the two-window view.
   const TrendSnapshot tr = eng.trend_snapshot();
   EXPECT_EQ(tr.sealed_windows(),
             std::min<std::uint64_t>(eng.window_epochs(), plan.cfg.history_depth));
@@ -171,11 +172,8 @@ TEST_P(EngineFuzz, ConservationHoldsUnderConcurrentChaos) {
   EXPECT_EQ(tr.current_drops(), win.current_drops());
   std::uint64_t retained_drops = tr.current_drops();
   for (std::size_t age = 0; age < tr.sealed_windows(); ++age) {
-    std::uint64_t shard_sum = 0;
-    for (std::uint32_t w = 0; w < eng.workers(); ++w) {
-      shard_sum += eng.shard_sealed(w, age).stream_length();
-    }
-    EXPECT_EQ(tr.window_length(age), shard_sum + tr.window_drops(age))
+    EXPECT_EQ(tr.window_length(age),
+              eng.shard_sealed(0, age).stream_length() + tr.window_drops(age))
         << "age " << age;
     retained_drops += tr.window_drops(age);
   }
