@@ -1,20 +1,26 @@
 // Ablation: the batched hot-path update pipeline.
 //
 // LatticeHhh::update_batch stages each popped batch through three passes --
-// block-RNG (every draw for the batch in one tight Lemire-bounded loop),
-// survivor compaction (keep only d < H), and a prefetched apply loop that
-// walks survivors with the backend's hash/probe split -- while remaining
-// byte-identical to per-packet update() (tests/test_batch.cpp pins this).
-// This bench isolates where the speedup comes from and what it costs:
+// the sample draw (BlockSampler::draw: the block's survivors in packet
+// order; at V > H it skips from survivor to survivor by geometric gaps, at
+// V == H it takes one Lemire draw per packet), the survivor build (mask +
+// hash), and a prefetched apply loop that walks survivors with the
+// backend's hash/probe split -- while remaining byte-identical to
+// per-packet update() (tests/test_batch.cpp pins this). This bench
+// isolates where the speedup comes from and what it costs:
 //
+//   * sample draw: BlockSampler::draw alone, ns per packet in 64-packet
+//     blocks (the engine producer's block size) at V = H, 2H, 10H, 100H --
+//     the "sample draw" stage of the layer ledger. At V > H the cost
+//     follows the survivors, so it falls with V.
 //   * batch size sweep: per-packet baseline vs update_batch at growing
-//     batch sizes (amortization of the RNG pass and the survivor list).
+//     batch sizes (amortization of the draw and the survivor list).
 //   * prefetch distance sweep: the apply-loop lookahead at a fixed batch
-//     size, including 0 (prefetching disabled -- isolates block-RNG +
-//     compaction from memory-level parallelism).
+//     size, including 0 (prefetching disabled -- isolates the draw and the
+//     build from memory-level parallelism).
 //   * mode x backend panel: batched speedup across lattice modes and the
 //     three pipelined backends. 10-RHHH is the paper's deployment point:
-//     ~9/10 packets die in compaction, so the apply loop sees a dense
+//     ~9/10 packets never leave the draw, so the apply loop sees a dense
 //     stream of real work.
 //
 // The "speedup" column is the acceptance metric: 10-RHHH batched over
@@ -74,6 +80,31 @@ RunningStats measure(const Hierarchy& h, LatticeMode mode, LatticeParams lp,
   return s;
 }
 
+/// ns per packet of BlockSampler::draw alone over `packets` packets in
+/// 64-packet blocks; `survivors` receives the survivor share of the last
+/// run.
+RunningStats measure_draw(std::uint32_t V, std::uint32_t H, std::size_t packets,
+                          int runs, std::uint64_t seed, double& survivors) {
+  constexpr std::size_t kBlock = 64;
+  BlockSampler s(LatticeMode::kRhhh, V, H, 1, seed);
+  RunningStats st;
+  std::uint64_t sink = 0;
+  for (int r = 0; r < runs; ++r) {
+    std::uint64_t m = 0;
+    const double t0 = now_sec();
+    for (std::size_t i = 0; i < packets; i += kBlock) {
+      const std::size_t got = s.draw(kBlock);
+      m += got;
+      if (got != 0) sink ^= s.picks()[got - 1];
+    }
+    const double dt = now_sec() - t0;
+    st.add(dt * 1e9 / static_cast<double>(packets));
+    survivors = static_cast<double>(m) / static_cast<double>(packets);
+  }
+  if (sink == 1) std::printf("?");  // keep the picks live
+  return st;
+}
+
 std::string speedup_cell(const RunningStats& b, const RunningStats& base) {
   char buf[32];
   std::snprintf(buf, sizeof buf, "%.2fx", b.mean() / base.mean());
@@ -100,6 +131,19 @@ int main(int argc, char** argv) {
   lp.eps = 0.001;
   lp.delta = args.delta;
   lp.V = 10 * static_cast<std::uint32_t>(h.size());  // 10-RHHH
+
+  std::printf("\n-- sample draw: BlockSampler::draw, RHHH r = 1, 64-packet blocks --\n");
+  print_row({"V/H", "draw ns/pkt (95% CI)", "survivors/pkt"});
+  const auto H = static_cast<std::uint32_t>(h.size());
+  const auto draw_packets = static_cast<std::size_t>(64e6 * args.scale);
+  for (const std::uint32_t mult : {1u, 2u, 10u, 100u}) {
+    double share = 0.0;
+    const RunningStats s =
+        measure_draw(mult * H, H, draw_packets, args.runs, args.seed, share);
+    char cell[32];
+    std::snprintf(cell, sizeof cell, "%.4f", share);
+    print_row({xcell(std::to_string(mult)), ci_cell(s), cell});
+  }
 
   std::printf("\n-- batch size, 10-RHHH / Space-Saving, 2D bytes (0 = per-packet) --\n");
   print_row({"batch", "Mpps (95% CI)", "speedup"});
@@ -160,12 +204,14 @@ int main(int argc, char** argv) {
   }
 
   std::printf(
-      "\n(expected shape: speedup grows with batch size and saturates once\n"
-      " the block-RNG pass amortizes -- ~2048 is plenty; distance 0 shows\n"
-      " the pipeline's non-prefetch share, with the gap to ~8 the\n"
-      " memory-level-parallelism win; 10-RHHH gains the most because\n"
-      " compaction deletes ~9/10 packets before any backend work, while MST\n"
-      " gains least -- every packet updates all H nodes either way, so only\n"
-      " prefetching helps. Acceptance: 10-RHHH batched >= 1.3x per-packet.)\n");
+      "\n(expected shape: the draw costs one generator step per packet at\n"
+      " V = H and about two per survivor at V > H, so its ns/pkt falls with\n"
+      " V; speedup grows with batch size and saturates once the per-batch\n"
+      " overhead amortizes -- ~2048 is plenty; distance 0 shows the\n"
+      " pipeline's non-prefetch share, with the gap to ~8 the\n"
+      " memory-level-parallelism win; 10-RHHH gains the most because ~9/10\n"
+      " packets never leave the draw, while MST gains least -- every packet\n"
+      " updates all H nodes either way, so only prefetching helps.\n"
+      " Acceptance: 10-RHHH batched >= 1.3x per-packet.)\n");
   return 0;
 }

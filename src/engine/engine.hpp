@@ -4,20 +4,22 @@
 // before transport; the engine does the same inside one process:
 //
 //   producer 0: block draw ──(key,node,packets)──▶ worker 0 ─┐ apply to the
-//      │  (BlockSampler)  └──────────────────────▶ worker 1 ─┤ nodes each owns
+//      │  (BlockSampler:  └──────────────────────▶ worker 1 ─┤ nodes each owns
+//      │   survivors only)                                   │
 //   producer 1: block draw ──────────────────────▶ worker 0  │
 //      │                  └──────────────────────▶ worker 1  ▼
 //      ⋮                                  ONE WindowRing<RhhhSpaceSaving>
 //                                         (live + K sealed lattices)
 //
 // Producers buffer packets into blocks of EngineConfig::batch keys and run
-// stage 1 of the lattice update on each block (BlockSampler: branchless
-// draws plus compaction). Only survivors cross a ring, as SampledUpdate
-// records (key, lattice node, packets), each to the worker that owns the
-// node: 10-RHHH ships about one packet in ten. A sampled-out packet rides
-// as a packet credit on its producer's next record (flush() sends a
-// credit-only record for what is left), so every packet is counted exactly
-// once. An MST or Sampled-MST survivor updates every node: it is shipped
+// stage 1 of the lattice update on each block (BlockSampler: at V > H it
+// skips from survivor to survivor by geometric gaps, so a block costs its
+// survivors, not its packets). Only survivors cross a ring, as
+// SampledUpdate records (key, lattice node, packets), each to the worker
+// that owns the node: 10-RHHH draws and ships about one packet in ten. A
+// sampled-out packet rides as a packet credit on its producer's next
+// record (flush() sends a credit-only record for what is left), so every
+// packet is counted exactly once. An MST or Sampled-MST survivor updates every node: it is shipped
 // once to each worker that owns nodes, and credited on one of them.
 //
 // Node ownership: the H lattice nodes are dealt to the W workers in level

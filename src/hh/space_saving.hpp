@@ -15,6 +15,8 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <memory>
+#include <new>
 #include <stdexcept>
 #include <vector>
 
@@ -27,14 +29,39 @@ namespace rhhh {
 template <class Key, class Hash = KeyHash<Key>>
 class SpaceSaving {
  public:
+  /// Allocates every array once at `capacity` (so increments never
+  /// allocate) but writes only the index: a counter slot is first written
+  /// when a key takes it, a bucket slot when the bump pointer reaches it.
   explicit SpaceSaving(std::size_t capacity)
-      : index_(2 * capacity), cap_(capacity) {
+      : counters_(uninitialized<Counter>(capacity)),
+        buckets_(uninitialized<Bucket>(capacity + 1)),
+        index_(2 * capacity),
+        cap_(capacity) {
     if (capacity == 0) throw std::invalid_argument("SpaceSaving: capacity must be > 0");
-    counters_.resize(cap_);
-    buckets_.resize(cap_ + 1);
-    reset_freelist();
     index_.reserve(cap_);
   }
+
+  /// Copies allocate at capacity once and copy only the live slots.
+  SpaceSaving(const SpaceSaving& o)
+      : counters_(uninitialized<Counter>(o.cap_)),
+        buckets_(uninitialized<Bucket>(o.cap_ + 1)),
+        bucket_free_(o.bucket_free_),
+        bucket_head_(o.bucket_head_),
+        bucket_used_(o.bucket_used_),
+        index_(o.index_),
+        cap_(o.cap_),
+        size_(o.size_),
+        total_(o.total_),
+        evictions_(o.evictions_) {
+    std::copy_n(o.counters_.get(), size_, counters_.get());
+    std::copy_n(o.buckets_.get(), bucket_used_, buckets_.get());
+  }
+  SpaceSaving& operator=(const SpaceSaving& o) {
+    if (this != &o) *this = SpaceSaving(o);
+    return *this;
+  }
+  SpaceSaving(SpaceSaving&&) noexcept = default;
+  SpaceSaving& operator=(SpaceSaving&&) noexcept = default;
 
   [[nodiscard]] static SpaceSaving make(const BackendConfig& cfg) {
     return SpaceSaving(cfg.capacity);
@@ -56,7 +83,7 @@ class SpaceSaving {
   /// shorter distance than prefetch(), once the slot line has arrived).
   void prefetch_counter(const Key& k, std::uint64_t h) const noexcept {
     if (const std::uint32_t* slot = index_.find_hashed(k, h)) {
-      __builtin_prefetch(counters_.data() + *slot, 1, 3);
+      __builtin_prefetch(counters_.get() + *slot, 1, 3);
     }
   }
 
@@ -176,7 +203,8 @@ class SpaceSaving {
     total_ = 0;
     evictions_ = 0;
     bucket_head_ = kNil;
-    reset_freelist();
+    bucket_free_ = kNil;
+    bucket_used_ = 0;
   }
 
   /// Merge another summary into this one (mergeable-summaries semantics:
@@ -280,8 +308,7 @@ class SpaceSaving {
   }
 
   [[nodiscard]] std::size_t memory_bytes() const noexcept {
-    return counters_.capacity() * sizeof(Counter) +
-           buckets_.capacity() * sizeof(Bucket) +
+    return cap_ * sizeof(Counter) + (cap_ + 1) * sizeof(Bucket) +
            index_.capacity() * (sizeof(Key) + sizeof(std::uint32_t) + 2);
   }
 
@@ -303,16 +330,29 @@ class SpaceSaving {
     std::uint32_t next = kNil;
   };
 
-  void reset_freelist() noexcept {
-    bucket_free_ = 0;
-    for (std::uint32_t i = 0; i < buckets_.size(); ++i) {
-      buckets_[i].next = (i + 1 < buckets_.size()) ? i + 1 : kNil;
-    }
+  /// Raw storage for n slots. Counter and Bucket are aggregates, so the
+  /// allocation itself begins their lifetimes; each slot is assigned in
+  /// full before it is first read.
+  struct ReleaseStorage {
+    void operator()(void* p) const noexcept { ::operator delete(p); }
+  };
+  template <class T>
+  using Storage = std::unique_ptr<T[], ReleaseStorage>;
+  template <class T>
+  [[nodiscard]] static Storage<T> uninitialized(std::size_t n) {
+    return Storage<T>(static_cast<T*>(::operator new(n * sizeof(T))));
   }
 
+  /// A freed bucket if there is one, else the next never-used slot. At most
+  /// cap + 1 buckets are live at once (one per distinct count, plus the
+  /// target bucket advance() allocates before it frees the source).
   [[nodiscard]] std::uint32_t alloc_bucket(std::uint64_t value) noexcept {
-    const std::uint32_t b = bucket_free_;
-    bucket_free_ = buckets_[b].next;
+    std::uint32_t b = bucket_free_;
+    if (b != kNil) {
+      bucket_free_ = buckets_[b].next;
+    } else {
+      b = bucket_used_++;
+    }
     buckets_[b] = Bucket{value, kNil, kNil, kNil};
     return b;
   }
@@ -396,10 +436,11 @@ class SpaceSaving {
     }
   }
 
-  std::vector<Counter> counters_;
-  std::vector<Bucket> buckets_;
+  Storage<Counter> counters_;  ///< cap slots; [0, size_) live
+  Storage<Bucket> buckets_;    ///< cap + 1 slots; [0, bucket_used_) ever handed out
   std::uint32_t bucket_free_ = kNil;
   std::uint32_t bucket_head_ = kNil;
+  std::uint32_t bucket_used_ = 0;
   FlatHashMap<Key, std::uint32_t, Hash> index_;
   std::size_t cap_;
   std::size_t size_ = 0;

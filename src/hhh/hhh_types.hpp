@@ -80,7 +80,7 @@ class HhhAlgorithm {
   /// implementations must consume their RNG draws in packet order), so
   /// callers may mix the two paths freely and split batches anywhere. The
   /// default is the per-packet loop; LatticeHhh overrides it with a staged
-  /// block-RNG / survivor-compaction / prefetched-apply pipeline.
+  /// sample-draw / survivor-build / prefetched-apply pipeline.
   virtual void update_batch(const Key128* keys, std::size_t n) {
     for (std::size_t i = 0; i < n; ++i) update(keys[i]);
   }

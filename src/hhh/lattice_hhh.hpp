@@ -13,6 +13,10 @@
 // Estimates scale by V/r (RHHH), 1 (MST) or V/H (Sampled-MST); randomized
 // modes add the 2*Z*sqrt(N*V) slack of Theorems 6.11/6.15 to conditioned
 // frequencies.
+//
+// The draws come from BlockSampler (block_sampler.hpp). At V > H it draws
+// the same law by geometric skips -- the gap to the next surviving trial,
+// then the survivor's node -- so only survivors touch the generator.
 #pragma once
 
 #include <cmath>
@@ -61,6 +65,9 @@ class LatticeHhh final : public HhhAlgorithm {
   LatticeHhh(const Hierarchy& h, LatticeMode mode, LatticeParams p);
 
   /// Per-packet update (Algorithm 1 lines 1-7). noexcept and allocation-free.
+  /// Each of the r trials is one BlockSampler::draw_one(): at V > H a
+  /// sampled-out trial is one decrement of the pending gap, with no
+  /// generator step.
   void update(Key128 x) override {
     ++n_;
     switch (mode_) {
@@ -93,12 +100,13 @@ class LatticeHhh final : public HhhAlgorithm {
   /// Batched update (the single-threaded hot path): sample + apply in
   /// place, equivalent to n update() calls in order, byte for byte.
   ///
-  ///   1. sample  -- BlockSampler::draw: the block's level draws with
-  ///                 branchless survivor compaction (block_sampler.hpp).
+  ///   1. sample  -- BlockSampler::draw: the block's survivors in packet
+  ///                 order (block_sampler.hpp); at V > H it skips from
+  ///                 survivor to survivor by geometric gaps, so the common
+  ///                 no-op packet costs nothing here.
   ///   2. build   -- each survivor (node, key) expands into the node-masked
-  ///                 key and its backend hash: the common no-op packet
-  ///                 costs one draw and two blind stores, and the per-node
-  ///                 mask + hash work is paid once here, not at the probe.
+  ///                 key and its backend hash: the per-node mask + hash
+  ///                 work is paid once here, not at the probe.
   ///   3. apply   -- survivors replayed in packet order against the
   ///                 per-node backends, index slots software-prefetched
   ///                 `prefetch_distance` slots ahead and counter cells half
@@ -127,7 +135,7 @@ class LatticeHhh final : public HhhAlgorithm {
   /// A fresh sampler over this instance's draw stream (same mode, V, H, r
   /// and seed): its draw() followed by apply() of the survivors reproduces
   /// update_batch() on an instance that has not drawn yet.
-  [[nodiscard]] BlockSampler make_sampler() const noexcept {
+  [[nodiscard]] BlockSampler make_sampler() const {
     return BlockSampler(mode_, V_, H_, p_.r, p_.seed);
   }
 
