@@ -140,9 +140,9 @@ SweepResult run_config(const SweepInput& in, std::uint32_t workers,
     out.mpps.add(static_cast<double>(in.keys.size()) / dt / 1e6);
 
     const EngineStats st = eng->stats();
-    if (st.budget_rotations > 0) {
+    if (st.drift_samples > 0) {
       out.drift_ns.add(static_cast<double>(st.rotation_drift_ns_total) /
-                       static_cast<double>(st.budget_rotations));
+                       static_cast<double>(st.drift_samples));
     }
     if (run_detected) {
       ++out.detected_runs;

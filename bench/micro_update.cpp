@@ -2,6 +2,13 @@
 // RHHH update (Theorem 6.18's O(1) pieces -- bounded RNG draw, mask, one
 // Space-Saving increment) against MST's O(H) loop and the trie update, per
 // hierarchy. Complements Figure 5's end-to-end throughput numbers.
+//
+// The BM_SpaceSavingSteady* panels split one steady-state increment: a
+// 401-counter Space-Saving (RHHH's per-node size at eps 0.005) is filled
+// with one lattice node's masked sanjose14 keys until its roster is full
+// and evicting, then timed on a probe-only pass (upper()) and on the full
+// increment_hashed() as the batched apply loop issues it (index slot
+// prefetched 8 keys ahead, counter cell 4 ahead).
 #include <benchmark/benchmark.h>
 
 #include <vector>
@@ -68,6 +75,67 @@ void BM_SpaceSavingIncrement(benchmark::State& state) {
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
 }
 BENCHMARK(BM_SpaceSavingIncrement)->Arg(64)->Arg(1024)->Arg(16384);
+
+constexpr std::size_t kSteadyCounters = 401;
+constexpr std::size_t kSteadyKeys = std::size_t{1} << 20;
+
+/// kSteadyKeys sanjose14 keys masked to lattice node `node` of the 2D byte
+/// hierarchy (node 0 is the fully specified pair, the most diverse).
+const std::vector<Key128>& steady_keys(std::uint32_t node) {
+  static std::vector<std::vector<Key128>> by_node(25);
+  std::vector<Key128>& out = by_node.at(node);
+  if (out.empty()) {
+    TraceGenerator gen(trace_preset("sanjose14"));
+    const Hierarchy h = Hierarchy::ipv4_2d(Granularity::kByte);
+    out.reserve(kSteadyKeys);
+    for (std::size_t i = 0; i < kSteadyKeys; ++i) {
+      out.push_back(h.mask_key(node, h.key_of(gen.next())));
+    }
+  }
+  return out;
+}
+
+/// A roster that has seen one full pass of the node's keys: full, evicting.
+SpaceSaving<Key128> steady_roster(const std::vector<Key128>& keys) {
+  SpaceSaving<Key128> ss(kSteadyCounters);
+  for (const Key128& k : keys) ss.increment(k);
+  return ss;
+}
+
+void BM_SpaceSavingSteadyProbe(benchmark::State& state) {
+  const auto& keys = steady_keys(static_cast<std::uint32_t>(state.range(0)));
+  const SpaceSaving<Key128> ss = steady_roster(keys);
+  std::size_t i = 0;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(ss.upper(keys[i++ & (kSteadyKeys - 1)]));
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
+}
+BENCHMARK(BM_SpaceSavingSteadyProbe)->ArgName("node")->Arg(0)->Arg(6)->Arg(12);
+
+void BM_SpaceSavingSteadyIncrement(benchmark::State& state) {
+  const auto& keys = steady_keys(static_cast<std::uint32_t>(state.range(0)));
+  SpaceSaving<Key128> ss = steady_roster(keys);
+  std::vector<std::uint64_t> hashes(kSteadyKeys);
+  for (std::size_t j = 0; j < kSteadyKeys; ++j) hashes[j] = ss.hash_of(keys[j]);
+  constexpr std::size_t kFar = 8;
+  constexpr std::size_t kNear = 4;
+  constexpr std::size_t kMask = kSteadyKeys - 1;
+  const std::uint64_t evictions0 = ss.evictions();
+  std::size_t i = 0;
+  for (auto _ : state) {
+    ss.prefetch(hashes[(i + kFar) & kMask]);
+    const std::size_t n = (i + kNear) & kMask;
+    ss.prefetch_counter(keys[n], hashes[n]);
+    const std::size_t j = i++ & kMask;
+    ss.increment_hashed(keys[j], hashes[j], 1);
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
+  state.counters["evictions_per_update"] = benchmark::Counter(
+      static_cast<double>(ss.evictions() - evictions0) /
+      static_cast<double>(state.iterations()));
+}
+BENCHMARK(BM_SpaceSavingSteadyIncrement)->ArgName("node")->Arg(0)->Arg(6)->Arg(12);
 
 template <LatticeMode Mode>
 void BM_LatticeUpdate(benchmark::State& state) {

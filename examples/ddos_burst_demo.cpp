@@ -26,6 +26,8 @@
 // ramps are events, and only a ring of sealed windows can tell them apart.
 //
 // Run:  ./ddos_burst_demo [packets] [epoch]
+#include <algorithm>
+#include <atomic>
 #include <chrono>
 #include <cmath>
 #include <cstdio>
@@ -85,6 +87,12 @@ int main(int argc, char** argv) {
   const std::size_t spike_end = spike_start + epoch;
   const std::size_t ramp_start = packets * 6 / 10;
 
+  // Both producers claim stream positions from one shared cursor, a chunk
+  // at a time, so a position means the same instant of the merged stream
+  // whichever thread ingests it: the spike's packets all fall inside its
+  // one epoch, however unevenly the two threads are scheduled.
+  constexpr std::size_t kClaim = 256;
+  std::atomic<std::size_t> cursor{0};
   std::vector<std::thread> producers;
   for (std::uint32_t p = 0; p < 2; ++p) {
     producers.emplace_back([&, p] {
@@ -92,20 +100,23 @@ int main(int argc, char** argv) {
       rhhh::TraceGenerator gen(
           rhhh::trace_preset(p == 0 ? "chicago16" : "sanjose14"));
       rhhh::Xoroshiro128 rng(4242 + p);
-      const std::size_t share = packets / 2;
-      for (std::size_t i = 0; i < share; ++i) {
-        // Producers advance in lockstep through the global stream position,
-        // so both anomalies switch on/off at the same wall-clock point.
-        const std::size_t global = i * 2 + p;
-        if (global >= spike_start && global < spike_end &&
-            rng.bounded(100) < 25) {
-          prod.ingest(rhhh::Key128::from_pair(spike_net | rng.bounded(1 << 16),
-                                              victim2));
-        } else if (global >= ramp_start && rng.bounded(100) < 30) {
-          prod.ingest(rhhh::Key128::from_pair(ramp_net | rng.bounded(1 << 16),
-                                              victim));
-        } else {
-          prod.ingest(h.key_of(gen.next()));
+      for (;;) {
+        // order: relaxed -- the claim only partitions positions; no data
+        // rides on it.
+        const std::size_t lo = cursor.fetch_add(kClaim, std::memory_order_relaxed);
+        if (lo >= packets) break;
+        const std::size_t hi = std::min(packets, lo + kClaim);
+        for (std::size_t global = lo; global < hi; ++global) {
+          if (global >= spike_start && global < spike_end &&
+              rng.bounded(100) < 25) {
+            prod.ingest(rhhh::Key128::from_pair(spike_net | rng.bounded(1 << 16),
+                                                victim2));
+          } else if (global >= ramp_start && rng.bounded(100) < 30) {
+            prod.ingest(rhhh::Key128::from_pair(ramp_net | rng.bounded(1 << 16),
+                                                victim));
+          } else {
+            prod.ingest(h.key_of(gen.next()));
+          }
         }
       }
       prod.flush();
@@ -178,7 +189,7 @@ int main(int argc, char** argv) {
     }
     probe(eng->trend_snapshot());
     offered = eng->producer(0).offered() + eng->producer(1).offered();
-  } while (offered < 2 * (packets / 2));  // each producer ingests packets/2
+  } while (offered < packets);
   for (std::thread& t : producers) t.join();
   eng->stop();
 

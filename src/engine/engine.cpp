@@ -37,6 +37,7 @@ std::string engine_stats_json(const EngineStats& s) {
   field("archive_errors", s.archive_errors);
   field("trend_cache_hits", s.trend_cache_hits);
   field("budget_rotations", s.budget_rotations);
+  field("drift_samples", s.drift_samples);
   field("rotation_drift_ns_total", s.rotation_drift_ns_total);
   field("late_rotations", s.late_rotations);
   out += '}';
@@ -374,7 +375,7 @@ void HhhEngine::bind_metrics() {
         return static_cast<double>(
             budget_rotations_.load(std::memory_order_relaxed));
       },
-      "budget-driven rotations (the drift-metered subset)");
+      "rotations triggered by a spent packet or wall budget");
   own("rhhh_engine_late_rotations",
       [this] {
         // order: relaxed -- statistic sampled at scrape time.
@@ -920,7 +921,7 @@ bool HhhEngine::try_rotate_cooperative(std::uint32_t w,
   // may have rotated (and reset the budget) while we held a stale claim --
   // the claim then simply dissolves. No double rotation is possible.
   if (!budget_due()) return true;
-  rotate_locked(w, &batch, &acked);
+  rotate_locked(RotationCause::kBudgetSpent, w, &batch, &acked);
   return true;
 }
 
@@ -968,7 +969,7 @@ void HhhEngine::clock_loop(std::uint64_t gen) {
     }
     // Re-check under the lock: a manual rotate_epoch() or a cooperative
     // rotator may have just reset the budget while we waited.
-    if (budget_due()) rotate_locked();
+    if (budget_due()) rotate_locked(RotationCause::kBudgetSpent);
   }
 }
 
@@ -1015,6 +1016,7 @@ EngineStats HhhEngine::collect_stats() const {
   s.archive_errors = archive_errors_.load(std::memory_order_relaxed);
   s.trend_cache_hits = trend_cache_hits_.load(std::memory_order_relaxed);
   s.budget_rotations = budget_rotations_.load(std::memory_order_relaxed);
+  s.drift_samples = drift_samples_.load(std::memory_order_relaxed);
   s.rotation_drift_ns_total = drift_ns_total_.load(std::memory_order_relaxed);
   s.late_rotations = late_rotations_.load(std::memory_order_relaxed);
   return s;
@@ -1108,17 +1110,22 @@ EngineSnapshot HhhEngine::snapshot() {
   return EngineSnapshot(std::move(live), std::move(s), e);
 }
 
-void HhhEngine::rotate_locked(std::uint32_t self,
+void HhhEngine::rotate_locked(RotationCause cause, std::uint32_t self,
                               std::vector<SampledUpdate>* self_batch,
                               std::uint64_t* self_acked) {
   const std::uint64_t obs_t0 = obs_.rotation_ns != nullptr ? obs::now_ns() : 0;
-  // Drift metering: a budget-driven rotation measures rotation-start minus
-  // the instant the budget was first observed spent. The mark must fall
-  // inside the closing window -- an observation that raced the previous
-  // reset can deposit a mark from the OLD window after the clear below; the
-  // validity check discards it (costing at most one sample, never faking
-  // one). Manual rotations (no mark) record nothing.
-  {
+  // A budget rotation counts here, where the rotator knows its cause, and
+  // carries a drift sample when the budget's mark has landed: rotation-start
+  // minus the instant the budget was first observed spent. The mark can be
+  // missing -- the worker whose fetch_sub spends the budget writes it after
+  // that fetch_sub, and another worker may see the spent budget and rotate
+  // first. It must also fall inside the closing window -- an observation
+  // that raced the previous reset can deposit a mark from the OLD window
+  // after the clear below; the validity check discards it (costing at most
+  // one sample, never faking one). Manual rotations record nothing.
+  if (cause == RotationCause::kBudgetSpent) {
+    // order: relaxed -- statistic, written only under snap_mu_.
+    budget_rotations_.fetch_add(1, std::memory_order_relaxed);
     const std::int64_t rot_start_ns =
         std::chrono::steady_clock::now().time_since_epoch().count();
     // order: relaxed x2 -- both are stable or stale-tolerant under snap_mu_
@@ -1131,7 +1138,7 @@ void HhhEngine::rotate_locked(std::uint32_t self,
           rot_start_ns > mark ? static_cast<std::uint64_t>(rot_start_ns - mark)
                               : 0;
       // order: relaxed x3 -- drift statistics, written only under snap_mu_.
-      budget_rotations_.fetch_add(1, std::memory_order_relaxed);
+      drift_samples_.fetch_add(1, std::memory_order_relaxed);
       drift_ns_total_.fetch_add(drift, std::memory_order_relaxed);
       if (drift > static_cast<std::uint64_t>(kLateRotationNs)) {
         late_rotations_.fetch_add(1, std::memory_order_relaxed);
@@ -1228,7 +1235,7 @@ void HhhEngine::rotate_locked(std::uint32_t self,
 
 void HhhEngine::rotate_epoch() {
   std::lock_guard<std::mutex> snap_lk(snap_mu_);
-  rotate_locked();
+  rotate_locked(RotationCause::kManual);
 }
 
 void HhhEngine::stamp_certificate(std::uint64_t sealed_epoch,

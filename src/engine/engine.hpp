@@ -430,10 +430,15 @@ class HhhEngine {
   /// folded in; fills the frozen stats and those drops. Caller must hold
   /// snap_mu_.
   std::unique_ptr<RhhhSpaceSaving> copy_live(EngineStats& s, std::uint64_t& drops);
-  /// rotate_epoch() body; caller must hold snap_mu_. `self`/`self_batch`
-  /// as in quiesced(); a rotating worker's local ack mark is updated
-  /// through `self_acked` so it does not re-park on its own boundary.
-  void rotate_locked(std::uint32_t self = kNoWorker,
+  /// Why a window is sealed: a manual rotate_epoch() call, or a spent
+  /// packet/wall budget (the cooperative rotator and the fallback clock).
+  enum class RotationCause { kManual, kBudgetSpent };
+  /// rotate_epoch() body; caller must hold snap_mu_. A kBudgetSpent
+  /// rotation counts in budget_rotations_ whether or not the budget's drift
+  /// mark has landed yet. `self`/`self_batch` as in quiesced(); a rotating
+  /// worker's local ack mark is updated through `self_acked` so it does not
+  /// re-park on its own boundary.
+  void rotate_locked(RotationCause cause, std::uint32_t self = kNoWorker,
                      std::vector<SampledUpdate>* self_batch = nullptr,
                      std::uint64_t* self_acked = nullptr);
   /// Register this engine's instruments (histograms, counter-mirror and
@@ -522,8 +527,10 @@ class HhhEngine {
   /// batches while snap_mu_ is busy). Released by the claimant only.
   std::atomic<bool> epoch_due_{false};
   // Drift bookkeeping (budget-driven rotations only; manual rotate_epoch()
-  // calls have no ideal boundary to drift from).
+  // calls have no ideal boundary to drift from). A budget rotation whose
+  // drift mark had not landed yet counts without a drift sample.
   std::atomic<std::uint64_t> budget_rotations_{0};
+  std::atomic<std::uint64_t> drift_samples_{0};
   std::atomic<std::uint64_t> drift_ns_total_{0};
   std::atomic<std::uint64_t> late_rotations_{0};  ///< drift > kLateRotationNs
   std::atomic<std::int64_t> win_started_ns_{0};  ///< boundary steady-clock ns

@@ -54,11 +54,14 @@ struct EngineStats {
   /// since the previous call (every call reuses the sealed windows copied
   /// at rotation; a miss marks the first poll of a new window set).
   std::uint64_t trend_cache_hits = 0;
-  /// Rotations triggered by a spent packet/wall budget (manual
-  /// rotate_epoch() calls are excluded -- they have no boundary to drift
-  /// from). Denominator for the drift mean.
+  /// Rotations triggered by a spent packet/wall budget, counted by the
+  /// rotator that acts on it (manual rotate_epoch() calls are excluded).
   std::uint64_t budget_rotations = 0;
-  /// Summed boundary drift (ns) over budget_rotations: the steady-clock
+  /// Budget rotations that carry a drift sample: all of them but those
+  /// that beat the spending worker's drift mark. Denominator for the drift
+  /// mean.
+  std::uint64_t drift_samples = 0;
+  /// Summed boundary drift (ns) over drift_samples: the steady-clock
   /// gap between the instant the epoch budget was first observed spent and
   /// the rotation that sealed the window. Cooperative rotation bounds each
   /// sample by roughly one worker batch; the 200us-timeslice fallback by a

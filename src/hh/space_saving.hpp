@@ -11,17 +11,44 @@
 //   * tracked:   count - error <= f <= count, with error <= N/m
 //   * untracked: f <= min-count over tracked counters (<= N/m)
 //   * every key with f > N/m is tracked (heavy-hitter recall)
+//
+// Layout. Three arrays, each allocated once at construction:
+//   * counters -- one per tracked key, in the order keys first took a slot;
+//     for_each() walks them in that order. A counter holds the key (the only
+//     copy of it), its count and error, its bucket and within-bucket links,
+//     and the low 32 bits of the key's hash (its home in the index), which
+//     fill what would otherwise be padding.
+//   * buckets  -- one per distinct count, ascending in a linked list; each
+//     heads a list of its counters, most recently arrived first.
+//   * index    -- open addressing with robin-hood probing and backward-shift
+//     deletion over next_pow2(4m) 8-byte slots {counter id, probe distance,
+//     16-bit tag from the hash's top bits}. A probe compares tags and loads a
+//     counter's key only on a tag match; an eviction erases the victim's
+//     slot by counter id, walking from the home its counter records, so the
+//     victim's key is never rehashed. The distance field saturates at 65535;
+//     a saturated slot's true distance is recomputed from its counter's
+//     home, so a cluster may grow to any capacity.
+//
+// Observable order. The victim is the head of the lowest bucket: the
+// min-count counter that most recently reached its count. for_each() follows
+// the counter array. Both are part of the contract (golden digests pin them
+// through every caller). Bucket ids, the bucket free list and index slot
+// positions are not observable, which is what lets advance() raise a bucket
+// in place: a counter alone in its bucket, with no bucket at a value in
+// (count, count + w], keeps its bucket and only the value moves -- the same
+// list a detach, fresh bucket and free would have produced.
 #pragma once
 
 #include <algorithm>
 #include <cstdint>
+#include <cstring>
 #include <memory>
 #include <new>
 #include <stdexcept>
 #include <vector>
 
 #include "hh/backend.hpp"
-#include "util/flat_hash_map.hpp"
+#include "util/bits.hpp"
 #include "util/key128.hpp"
 
 namespace rhhh {
@@ -32,29 +59,22 @@ class SpaceSaving {
   /// Allocates every array once at `capacity` (so increments never
   /// allocate) but writes only the index: a counter slot is first written
   /// when a key takes it, a bucket slot when the bump pointer reaches it.
-  explicit SpaceSaving(std::size_t capacity)
-      : counters_(uninitialized<Counter>(capacity)),
-        buckets_(uninitialized<Bucket>(capacity + 1)),
-        index_(2 * capacity),
-        cap_(capacity) {
-    if (capacity == 0) throw std::invalid_argument("SpaceSaving: capacity must be > 0");
-    index_.reserve(cap_);
+  explicit SpaceSaving(std::size_t capacity) : SpaceSaving(checked(capacity), Shape{}) {
+    std::memset(static_cast<void*>(index_.get()), 0, index_bytes());
   }
 
-  /// Copies allocate at capacity once and copy only the live slots.
-  SpaceSaving(const SpaceSaving& o)
-      : counters_(uninitialized<Counter>(o.cap_)),
-        buckets_(uninitialized<Bucket>(o.cap_ + 1)),
-        bucket_free_(o.bucket_free_),
-        bucket_head_(o.bucket_head_),
-        bucket_used_(o.bucket_used_),
-        index_(o.index_),
-        cap_(o.cap_),
-        size_(o.size_),
-        total_(o.total_),
-        evictions_(o.evictions_) {
+  /// Copies allocate at capacity once and copy only the live slots (plus
+  /// the whole index, whose live slots are scattered).
+  SpaceSaving(const SpaceSaving& o) : SpaceSaving(o.cap_, Shape{}) {
+    bucket_free_ = o.bucket_free_;
+    bucket_head_ = o.bucket_head_;
+    bucket_used_ = o.bucket_used_;
+    size_ = o.size_;
+    total_ = o.total_;
+    evictions_ = o.evictions_;
     std::copy_n(o.counters_.get(), size_, counters_.get());
     std::copy_n(o.buckets_.get(), bucket_used_, buckets_.get());
+    std::memcpy(static_cast<void*>(index_.get()), o.index_.get(), index_bytes());
   }
   SpaceSaving& operator=(const SpaceSaving& o) {
     if (this != &o) *this = SpaceSaving(o);
@@ -76,14 +96,24 @@ class SpaceSaving {
 
   /// Pull the index slots for hash `h` toward L1 ahead of an
   /// increment_hashed(). Safe to issue for any hash value.
-  void prefetch(std::uint64_t h) const noexcept { index_.prefetch(h); }
+  void prefetch(std::uint64_t h) const noexcept {
+    __builtin_prefetch(index_.get() + home_of(h), 0, 3);
+  }
 
-  /// Pull the counter cell of key `k` toward L1: a dependent second-stage
-  /// prefetch (the cell address needs one index probe, so issue this at a
-  /// shorter distance than prefetch(), once the slot line has arrived).
-  void prefetch_counter(const Key& k, std::uint64_t h) const noexcept {
-    if (const std::uint32_t* slot = index_.find_hashed(k, h)) {
-      __builtin_prefetch(counters_.get() + *slot, 1, 3);
+  /// Pull the counter cell of the key with hash `h` toward L1: a dependent
+  /// second-stage prefetch (the cell address needs one index probe, so issue
+  /// this at a shorter distance than prefetch(), once the slot line has
+  /// arrived). Matches on the tag alone -- a hint may be wrong, never harmful.
+  void prefetch_counter(const Key& /*k*/, std::uint64_t h) const noexcept {
+    std::uint32_t i = home_of(h);
+    const std::uint16_t tag = tag_of(h);
+    for (std::uint32_t d = 1; d < kFar; ++d, i = (i + 1) & mask_) {
+      const Slot s = index_[i];
+      if (s.dist < d) return;
+      if (s.tag == tag) {
+        __builtin_prefetch(counters_.get() + s.id, 1, 3);
+        return;
+      }
     }
   }
 
@@ -93,55 +123,53 @@ class SpaceSaving {
     increment_hashed(k, hash_of(k), w);
   }
 
-  /// increment() with the key hash precomputed. The lookup and the
-  /// insertion share ONE index probe (find-or-insert), so every arrival
-  /// hashes and walks the probe sequence exactly once -- tracked hit,
-  /// fresh-counter insert and eviction alike.
+  /// increment() with the key hash precomputed: the key hashes once per
+  /// arrival -- tracked hit, fresh-counter insert and eviction alike.
   void increment_hashed(const Key& k, std::uint64_t h, std::uint64_t w = 1) {
     if (w == 0) return;
     total_ += w;
-    std::uint32_t c;
-    bool attached = true;
-    auto [slot, inserted] = index_.try_emplace_hashed(k, h, kNil);
-    if (!inserted) {
-      c = *slot;
-    } else if (size_ < cap_) {
-      c = static_cast<std::uint32_t>(size_++);
-      counters_[c] = Counter{k, 0, 0, kNil, kNil, kNil};
-      *slot = c;
-      attached = false;
-    } else {
-      // Evict the minimum: replace its key, inherit its count as the error
-      // bound (the classic Space-Saving replacement step). Write the slot
-      // value BEFORE erasing the evicted key: backward-shift deletion may
-      // relocate our freshly inserted entry (copying its value along), so
-      // the pointer is only trustworthy until the erase.
-      const std::uint32_t b = bucket_head_;
-      c = buckets_[b].head;
-      const std::uint64_t min = buckets_[b].value;
-      *slot = c;
-      index_.erase(counters_[c].key);
-      counters_[c].key = k;
-      counters_[c].error = min;
-      counters_[c].count = min;
-      ++evictions_;
+    const Probe p = probe(k, h);
+    if (p.id != kNil) {
+      advance(p.id, w);
+      return;
     }
-    advance(c, w, attached);
+    if (size_ < cap_) {
+      const std::uint32_t c = size_++;
+      counters_[c] = Counter{k, 0, 0, kNil, kNil, kNil, static_cast<std::uint32_t>(h)};
+      index_place(p.at, Slot{c, saturate(p.dist), tag_of(h)});
+      place(c, w, kNil);
+      return;
+    }
+    // Evict the minimum: replace its key, inherit its count as the error
+    // bound (the classic Space-Saving replacement step). The victim keeps
+    // its counter and its bucket; only its index slot moves, and the erase
+    // may shift the probe's insertion point, so the insert walks again.
+    const Bucket& low = buckets_[bucket_head_];
+    const std::uint32_t c = low.head;
+    index_erase(c);
+    Counter& cn = counters_[c];
+    cn.key = k;
+    cn.error = low.value;
+    cn.home = static_cast<std::uint32_t>(h);
+    index_insert(c, h);
+    ++evictions_;
+    advance(c, w);
   }
 
   /// Upper bound on the number of arrivals of `k`.
   [[nodiscard]] std::uint64_t upper(const Key& k) const noexcept {
-    const std::uint32_t* slot = index_.find(k);
-    return slot != nullptr ? counters_[*slot].count : min_bound();
+    const std::uint32_t c = find_id(k, hash_of(k));
+    return c != kNil ? counters_[c].count : min_bound();
   }
   /// Lower bound on the number of arrivals of `k`.
   [[nodiscard]] std::uint64_t lower(const Key& k) const noexcept {
-    const std::uint32_t* slot = index_.find(k);
-    if (slot == nullptr) return 0;
-    const Counter& c = counters_[*slot];
-    return c.count - c.error;
+    const std::uint32_t c = find_id(k, hash_of(k));
+    if (c == kNil) return 0;
+    return counters_[c].count - counters_[c].error;
   }
-  [[nodiscard]] bool tracked(const Key& k) const noexcept { return index_.contains(k); }
+  [[nodiscard]] bool tracked(const Key& k) const noexcept {
+    return find_id(k, hash_of(k)) != kNil;
+  }
 
   /// Upper bound on the arrivals of *any* untracked key.
   [[nodiscard]] std::uint64_t min_bound() const noexcept {
@@ -164,15 +192,14 @@ class SpaceSaving {
     p.evictions = evictions_;
     p.occupancy = size_;
     p.capacity = cap_;
-    p.saturation =
-        cap_ > 0 ? static_cast<double>(size_) / static_cast<double>(cap_) : 0.0;
+    p.saturation = static_cast<double>(size_) / static_cast<double>(cap_);
     p.noise = static_cast<double>(min_bound());
     return p;
   }
 
   template <class F>
   void for_each(F&& f) const {
-    for (std::size_t i = 0; i < size_; ++i) {
+    for (std::uint32_t i = 0; i < size_; ++i) {
       const Counter& c = counters_[i];
       f(c.key, c.count, c.count - c.error);
     }
@@ -198,7 +225,7 @@ class SpaceSaving {
   }
 
   void clear() {
-    index_.clear();
+    std::memset(static_cast<void*>(index_.get()), 0, index_bytes());
     size_ = 0;
     total_ = 0;
     evictions_ = 0;
@@ -246,7 +273,7 @@ class SpaceSaving {
     // Rebuild smallest-first so bucket insertion walks stay short.
     for (auto it = merged.rbegin(); it != merged.rend(); ++it) {
       increment(it->key, it->count);
-      counters_[*index_.find(it->key)].error = it->error;
+      counters_[find_id(it->key, hash_of(it->key))].error = it->error;
     }
     total_ = combined_total;
     evictions_ = combined_evictions;
@@ -273,16 +300,17 @@ class SpaceSaving {
     clear();
     for (const HhEntry<Key>& e : entries) {
       increment(e.key, e.upper);
-      counters_[*index_.find(e.key)].error = e.upper - e.lower;
+      counters_[find_id(e.key, hash_of(e.key))].error = e.upper - e.lower;
     }
     total_ = total;
   }
 
   /// Structural invariant check for tests: bucket list ascending and
-  /// consistent, every counter indexed, counts summing to total().
+  /// consistent, keys distinct, and every live index slot mapping back to
+  /// its own counter, at the true probe distance of the counter's hash and
+  /// in robin-hood order -- which makes every counter findable.
   [[nodiscard]] bool validate() const {
     std::size_t seen = 0;
-    std::uint64_t sum = 0;
     std::uint64_t prev_value = 0;
     bool first_bucket = true;
     for (std::uint32_t b = bucket_head_; b != kNil; b = buckets_[b].next) {
@@ -294,26 +322,51 @@ class SpaceSaving {
       std::uint32_t prev_c = kNil;
       for (std::uint32_t c = bk.head; c != kNil; c = counters_[c].next) {
         const Counter& cn = counters_[c];
-        if (cn.bucket != b || cn.prev != prev_c) return false;
+        if (c >= size_ || cn.bucket != b || cn.prev != prev_c) return false;
         if (cn.count != bk.value || cn.error > cn.count) return false;
-        const std::uint32_t* slot = index_.find(cn.key);
-        if (slot == nullptr || *slot != c) return false;
-        sum += cn.count;
+        if (cn.home != static_cast<std::uint32_t>(hash_of(cn.key))) return false;
         ++seen;
         prev_c = c;
       }
     }
-    (void)sum;  // equals total() for pure streams; merge() legitimately drops mass
-    return seen == size_ && index_.size() == size_;
+    std::size_t live = 0;
+    std::vector<bool> slotted(size_, false);
+    for (std::size_t at = 0; at <= mask_; ++at) {
+      const auto i = static_cast<std::uint32_t>(at);
+      const Slot s = index_[i];
+      if (s.dist == 0) continue;
+      ++live;
+      if (s.id >= size_ || slotted[s.id]) return false;
+      slotted[s.id] = true;
+      const Counter& cn = counters_[s.id];
+      if (s.tag != tag_of(hash_of(cn.key))) return false;
+      const std::uint32_t d = ((i - (cn.home & mask_)) & mask_) + 1;
+      if (s.dist != saturate(d)) return false;
+      // Robin-hood order: a slot is at most one step farther from home
+      // than the slot before it, so every home group stays contiguous.
+      const Slot before = index_[(i - 1) & mask_];
+      if (d > 1 && (before.dist == 0 || true_dist((i - 1) & mask_) + 1 < d)) return false;
+    }
+    std::vector<Key> keys(size_);
+    for (std::uint32_t c = 0; c < size_; ++c) keys[c] = counters_[c].key;
+    std::sort(keys.begin(), keys.end());
+    if (std::adjacent_find(keys.begin(), keys.end()) != keys.end()) return false;
+    return seen == size_ && live == size_;
   }
 
   [[nodiscard]] std::size_t memory_bytes() const noexcept {
-    return cap_ * sizeof(Counter) + (cap_ + 1) * sizeof(Bucket) +
-           index_.capacity() * (sizeof(Key) + sizeof(std::uint32_t) + 2);
+    return std::size_t{cap_} * sizeof(Counter) + (std::size_t{cap_} + 1) * sizeof(Bucket) +
+           index_bytes();
   }
 
  private:
   static constexpr std::uint32_t kNil = 0xffffffffu;
+  /// Saturated probe distance: the true distance is at least this and is
+  /// recomputed from the counter's home.
+  static constexpr std::uint16_t kFar = 0xffff;
+  /// Largest capacity: the index (4x capacity, rounded up to a power of
+  /// two) must stay addressable by the 32-bit home a counter records.
+  static constexpr std::size_t kMaxCapacity = std::size_t{1} << 30;
 
   struct Counter {
     Key key{};
@@ -322,6 +375,7 @@ class SpaceSaving {
     std::uint32_t bucket = kNil;
     std::uint32_t prev = kNil;  // within-bucket list
     std::uint32_t next = kNil;
+    std::uint32_t home = 0;     // low 32 bits of hash_of(key)
   };
   struct Bucket {
     std::uint64_t value = 0;
@@ -329,10 +383,16 @@ class SpaceSaving {
     std::uint32_t prev = kNil;  // bucket list (ascending by value)
     std::uint32_t next = kNil;
   };
+  struct Slot {
+    std::uint32_t id;    // counter id
+    std::uint16_t dist;  // 0 = empty, else probe distance + 1 (saturating at kFar)
+    std::uint16_t tag;   // tag_of(hash)
+  };
+  static_assert(sizeof(Slot) == 8);
 
-  /// Raw storage for n slots. Counter and Bucket are aggregates, so the
-  /// allocation itself begins their lifetimes; each slot is assigned in
-  /// full before it is first read.
+  /// Raw storage for n slots. Counter, Bucket and Slot are aggregates, so
+  /// the allocation itself begins their lifetimes; each slot is written in
+  /// full before it is first read (the index by the constructor's zeroing).
   struct ReleaseStorage {
     void operator()(void* p) const noexcept { ::operator delete(p); }
   };
@@ -343,9 +403,107 @@ class SpaceSaving {
     return Storage<T>(static_cast<T*>(::operator new(n * sizeof(T))));
   }
 
+  struct Shape {};
+  /// Allocation only; the public constructors fill the index.
+  SpaceSaving(std::size_t capacity, Shape)
+      : counters_(uninitialized<Counter>(capacity)),
+        buckets_(uninitialized<Bucket>(capacity + 1)),
+        index_(uninitialized<Slot>(next_pow2(4 * capacity))),
+        mask_(static_cast<std::uint32_t>(next_pow2(4 * capacity) - 1)),
+        cap_(static_cast<std::uint32_t>(capacity)) {}
+
+  [[nodiscard]] static std::size_t checked(std::size_t capacity) {
+    if (capacity == 0) throw std::invalid_argument("SpaceSaving: capacity must be > 0");
+    if (capacity > kMaxCapacity) {
+      throw std::invalid_argument("SpaceSaving: capacity must be <= 2^30");
+    }
+    return capacity;
+  }
+
+  [[nodiscard]] std::size_t index_bytes() const noexcept {
+    return (std::size_t{mask_} + 1) * sizeof(Slot);
+  }
+  [[nodiscard]] std::uint32_t home_of(std::uint64_t h) const noexcept {
+    return static_cast<std::uint32_t>(h) & mask_;
+  }
+  [[nodiscard]] static std::uint16_t tag_of(std::uint64_t h) noexcept {
+    return static_cast<std::uint16_t>(h >> 48);
+  }
+  [[nodiscard]] static std::uint16_t saturate(std::uint32_t d) noexcept {
+    return static_cast<std::uint16_t>(d < kFar ? d : kFar);
+  }
+  /// Probe distance + 1 of the (live) slot at i, past saturation too.
+  [[nodiscard]] std::uint32_t true_dist(std::uint32_t i) const noexcept {
+    const Slot s = index_[i];
+    if (s.dist != kFar) return s.dist;
+    return ((i - (counters_[s.id].home & mask_)) & mask_) + 1;
+  }
+
+  /// Where a probe for a key ended: its counter, or (id == kNil) the slot
+  /// and distance + 1 at which it would be inserted.
+  struct Probe {
+    std::uint32_t id;
+    std::uint32_t at;
+    std::uint32_t dist;
+  };
+
+  /// Robin-hood order ends a probe at the first slot closer to its home
+  /// than the key would be (or empty): the key's insertion point.
+  [[nodiscard]] Probe probe(const Key& k, std::uint64_t h) const noexcept {
+    std::uint32_t i = home_of(h);
+    const std::uint16_t tag = tag_of(h);
+    for (std::uint32_t d = 1;; ++d, i = (i + 1) & mask_) {
+      const Slot s = index_[i];
+      if (s.dist < d && (s.dist != kFar || true_dist(i) < d)) return Probe{kNil, i, d};
+      if (s.tag == tag && counters_[s.id].key == k) return Probe{s.id, i, d};
+    }
+  }
+  /// Counter id of key k (hash h), or kNil.
+  [[nodiscard]] std::uint32_t find_id(const Key& k, std::uint64_t h) const noexcept {
+    return probe(k, h).id;
+  }
+
+  /// Index counter c (whose home is set) under hash h, walking to its
+  /// insertion point.
+  void index_insert(std::uint32_t c, std::uint64_t h) noexcept {
+    std::uint32_t i = home_of(h);
+    std::uint32_t d = 1;
+    for (;; ++d, i = (i + 1) & mask_) {
+      const std::uint16_t r = index_[i].dist;
+      if (r < d && (r != kFar || true_dist(i) < d)) break;
+    }
+    index_place(i, Slot{c, saturate(d), tag_of(h)});
+  }
+  /// Write `carry` at insertion point i, shifting the rest of the cluster
+  /// one slot on.
+  void index_place(std::uint32_t i, Slot carry) noexcept {
+    while (true) {
+      const Slot s = index_[i];
+      index_[i] = carry;
+      if (s.dist == 0) return;
+      carry = Slot{s.id, saturate(std::uint32_t{s.dist} + 1), s.tag};
+      i = (i + 1) & mask_;
+    }
+  }
+
+  /// Remove counter c's slot, found by id from the home c records, and
+  /// shift the rest of its cluster back one slot.
+  void index_erase(std::uint32_t c) noexcept {
+    std::uint32_t i = counters_[c].home & mask_;
+    while (index_[i].id != c || index_[i].dist == 0) i = (i + 1) & mask_;
+    std::uint32_t next = (i + 1) & mask_;
+    while (index_[next].dist > 1) {
+      const Slot s = index_[next];
+      index_[i] = Slot{s.id, saturate(true_dist(next) - 1), s.tag};
+      i = next;
+      next = (next + 1) & mask_;
+    }
+    index_[i].dist = 0;
+  }
+
   /// A freed bucket if there is one, else the next never-used slot. At most
   /// cap + 1 buckets are live at once (one per distinct count, plus the
-  /// target bucket advance() allocates before it frees the source).
+  /// target bucket place() allocates before advance() frees the source).
   [[nodiscard]] std::uint32_t alloc_bucket(std::uint64_t value) noexcept {
     std::uint32_t b = bucket_free_;
     if (b != kNil) {
@@ -355,10 +513,6 @@ class SpaceSaving {
     }
     buckets_[b] = Bucket{value, kNil, kNil, kNil};
     return b;
-  }
-  void free_bucket(std::uint32_t b) noexcept {
-    buckets_[b].next = bucket_free_;
-    bucket_free_ = b;
   }
 
   void detach_counter(std::uint32_t c) noexcept {
@@ -403,21 +557,33 @@ class SpaceSaving {
       bucket_head_ = bn.next;
     }
     if (bn.next != kNil) buckets_[bn.next].prev = bn.prev;
-    free_bucket(b);
+    buckets_[b].next = bucket_free_;
+    bucket_free_ = b;
   }
 
-  /// Move counter c forward by w; `attached` says whether c currently sits
-  /// in a bucket (false only for a brand-new counter).
-  void advance(std::uint32_t c, std::uint64_t w, bool attached) noexcept {
+  /// Raise bucketed counter c by w.
+  void advance(std::uint32_t c, std::uint64_t w) noexcept {
+    Counter& cn = counters_[c];
+    const std::uint32_t ob = cn.bucket;
+    Bucket& old = buckets_[ob];
+    const std::uint64_t target = cn.count + w;
+    if (old.head == c && cn.next == kNil &&
+        (old.next == kNil || buckets_[old.next].value > target)) {
+      // Alone, and nothing in (count, target]: the bucket moves with it.
+      old.value = target;
+      cn.count = target;
+      return;
+    }
+    detach_counter(c);
+    place(c, w, ob);  // its value == the old count < target
+    if (buckets_[ob].head == kNil) remove_bucket(ob);
+  }
+
+  /// Put detached (or brand-new) counter c into the bucket for count + w,
+  /// searching the bucket list after `last` (kNil: from the head).
+  void place(std::uint32_t c, std::uint64_t w, std::uint32_t last) noexcept {
     Counter& cn = counters_[c];
     const std::uint64_t target = cn.count + w;
-    std::uint32_t old_bucket = kNil;
-    std::uint32_t last = kNil;  // last bucket with value < target
-    if (attached) {
-      old_bucket = cn.bucket;
-      detach_counter(c);
-      last = old_bucket;  // its value == old count < target
-    }
     std::uint32_t next = (last == kNil) ? bucket_head_ : buckets_[last].next;
     while (next != kNil && buckets_[next].value < target) {
       last = next;
@@ -431,19 +597,17 @@ class SpaceSaving {
       push_counter(c, b);
     }
     cn.count = target;
-    if (old_bucket != kNil && buckets_[old_bucket].head == kNil) {
-      remove_bucket(old_bucket);
-    }
   }
 
   Storage<Counter> counters_;  ///< cap slots; [0, size_) live
   Storage<Bucket> buckets_;    ///< cap + 1 slots; [0, bucket_used_) ever handed out
+  Storage<Slot> index_;        ///< mask_ + 1 slots (4 x cap, power of two)
+  std::uint32_t mask_;
   std::uint32_t bucket_free_ = kNil;
   std::uint32_t bucket_head_ = kNil;
   std::uint32_t bucket_used_ = 0;
-  FlatHashMap<Key, std::uint32_t, Hash> index_;
-  std::size_t cap_;
-  std::size_t size_ = 0;
+  std::uint32_t cap_;
+  std::uint32_t size_ = 0;
   std::uint64_t total_ = 0;
   std::uint64_t evictions_ = 0;
 };

@@ -42,6 +42,7 @@
 
 #include "util/key128.hpp"
 #include "util/random.hpp"
+#include "util/scratch_vector.hpp"
 
 namespace rhhh {
 
@@ -162,8 +163,7 @@ class BlockSampler {
   std::size_t draw(std::size_t n) {
     std::size_t m = 0;
     const std::size_t trials = mode_ == LatticeMode::kRhhh ? n * r_ : n;
-    picks_.resize(trials);
-    std::uint64_t* pk = picks_.data();
+    std::uint64_t* pk = picks_.room(trials);
     if (mode_ == LatticeMode::kMst) {
       for (std::size_t i = 0; i < n; ++i) {
         pk[i] = (static_cast<std::uint64_t>(i) << 16) | kAllNodes;
@@ -249,7 +249,7 @@ class BlockSampler {
   Xoroshiro128 rng_;
   const GapTable* gaps_;  ///< null: V == H (or MST), one draw per trial
   std::uint64_t gap_ = 0;  ///< sampled-out trials before the next survivor
-  std::vector<std::uint64_t> picks_;
+  ScratchVector<std::uint64_t> picks_;  ///< the last draw()'s survivors
 };
 
 }  // namespace rhhh

@@ -136,17 +136,17 @@ void LatticeHhh<Backend>::update_batch(const Key128* keys, std::size_t n) {
   // amortizes the per-node mask + hash away from the probes and lets the
   // apply loop prefetch across the whole sequence.
   const bool fan_out = mode_ != LatticeMode::kRhhh;
-  survivors_.resize(fan_out ? m * H_ : m);
+  Survivor* sv = survivors_.room(fan_out ? m * H_ : m);
   std::size_t w = 0;
   for (std::size_t j = 0; j < m; ++j) {
     const Key128& key = keys[BlockSampler::packet_of(pk[j])];
     if (fan_out) {
-      for (std::uint32_t d = 0; d < H_; ++d) survivors_[w++] = survivor(d, key);
+      for (std::uint32_t d = 0; d < H_; ++d) sv[w++] = survivor(d, key);
     } else {
-      survivors_[w++] = survivor(BlockSampler::node_of(pk[j]), key);
+      sv[w++] = survivor(BlockSampler::node_of(pk[j]), key);
     }
   }
-  apply_survivors(survivors_.data(), w);
+  apply_survivors(sv, w);
   updates_ += w;
 }
 

@@ -33,6 +33,7 @@
 #include "hhh/hhh_types.hpp"
 #include "stats/normal.hpp"
 #include "util/random.hpp"
+#include "util/scratch_vector.hpp"
 
 namespace rhhh {
 
@@ -307,8 +308,9 @@ class LatticeHhh final : public HhhAlgorithm {
   template <class ForAll>
   std::uint64_t apply_records(const SampledUpdate* u, std::size_t n, ForAll&& all);
   /// update_batch()'s stage-2 work list, reused across batches (no semantic
-  /// state: clear() leaves it alone and it never serializes).
-  std::vector<Survivor> survivors_;
+  /// state: clear() leaves it alone, copies start without it and it never
+  /// serializes).
+  ScratchVector<Survivor> survivors_;
 };
 
 }  // namespace rhhh

@@ -346,6 +346,49 @@ TEST(BatchEquivalence, WeightedUpdatesInterleaveWithBatches) {
             digest_nodes(batched, static_cast<std::uint32_t>(h.size())));
 }
 
+TEST(BatchEquivalence, CopyAfterLargeBatchAnswersLikeTheOriginal) {
+  // A lattice last fed one large batch holds a work list that large; its
+  // copies start without it and must answer -- and keep answering as
+  // updates continue -- byte-identically to the original.
+  const Hierarchy h = Hierarchy::ipv4_2d(Granularity::kByte);
+  const auto H = static_cast<std::uint32_t>(h.size());
+  const std::vector<Key128> first = make_stream(200000, 4242);
+  const std::vector<Key128> more = make_stream(30000, 4343);
+  for (const std::uint32_t v_mult : {1u, 10u}) {
+    LatticeParams lp;
+    lp.eps = 0.01;
+    lp.delta = 0.05;
+    lp.V = v_mult * H;
+    lp.seed = 17;
+    RhhhSpaceSaving orig(h, LatticeMode::kRhhh, lp);
+    orig.update_batch(first.data(), first.size());
+    RhhhSpaceSaving copy(orig);
+    RhhhSpaceSaving assigned(h, LatticeMode::kRhhh, lp);
+    assigned.update_batch(more.data(), 16);
+    assigned = orig;
+    const auto expect_same = [&](const char* at) {
+      for (const RhhhSpaceSaving* c : {&copy, &assigned}) {
+        EXPECT_EQ(c->stream_length(), orig.stream_length()) << at;
+        EXPECT_EQ(c->updates_performed(), orig.updates_performed()) << at;
+        EXPECT_EQ(digest_nodes(*c, H), digest_nodes(orig, H)) << at;
+        EXPECT_EQ(digest_set_ordered(h, c->output(0.01)),
+                  digest_set_ordered(h, orig.output(0.01)))
+            << at;
+      }
+    };
+    expect_same("copied");
+    for (RhhhSpaceSaving* alg : {&orig, &copy, &assigned}) {
+      feed_batched(*alg, more, 5);
+      for (const Key128& k : more) alg->update(k);
+    }
+    expect_same("updated");
+    for (RhhhSpaceSaving* alg : {&orig, &copy, &assigned}) {
+      alg->update_batch(first.data(), first.size());
+    }
+    expect_same("refed");
+  }
+}
+
 TEST(BatchEquivalence, PrefetchableBackendRoster) {
   // The hash/probe split must be detected for the three pipelined backends
   // (and drive the prefetching apply loop), and its absence tolerated.

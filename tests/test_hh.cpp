@@ -6,8 +6,10 @@
 // their respective guarantees.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <map>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include "hh/count_min.hpp"
@@ -221,6 +223,265 @@ TEST(SpaceSaving, WeightedOracle) {
     EXPECT_GE(ss.upper(k), f);
     EXPECT_LE(ss.upper(k) - f, err_bound);
   }
+}
+
+// ------------------------------------------ space saving layout oracle ----
+
+/// Naive Space-Saving with the documented observable order: a counter keeps
+/// its slot for life (for_each walks slots in order), and the victim is the
+/// min-count counter that most recently reached its count. merge() and
+/// load() follow SpaceSaving's documented rebuilds.
+class NaiveSpaceSaving {
+ public:
+  using Row = std::tuple<K64, std::uint64_t, std::uint64_t>;  // key, upper, lower
+
+  explicit NaiveSpaceSaving(std::size_t cap) : cap_(cap) {}
+
+  void increment(K64 k, std::uint64_t w = 1) {
+    if (w == 0) return;
+    total_ += w;
+    if (Slot* s = find(k)) {
+      s->count += w;
+      s->stamp = ++clock_;
+    } else if (slots_.size() < cap_) {
+      slots_.push_back(Slot{k, w, 0, ++clock_});
+    } else {
+      Slot* v = &slots_[0];
+      for (Slot& c : slots_) {
+        if (c.count < v->count || (c.count == v->count && c.stamp > v->stamp)) v = &c;
+      }
+      *v = Slot{k, v->count + w, v->count, ++clock_};
+      ++evictions_;
+    }
+  }
+
+  [[nodiscard]] std::uint64_t min_bound() const {
+    if (slots_.size() < cap_) return 0;
+    std::uint64_t m = slots_[0].count;
+    for (const Slot& c : slots_) m = std::min(m, c.count);
+    return m;
+  }
+  [[nodiscard]] std::uint64_t upper(K64 k) const {
+    const Slot* s = find(k);
+    return s != nullptr ? s->count : min_bound();
+  }
+  [[nodiscard]] std::uint64_t lower(K64 k) const {
+    const Slot* s = find(k);
+    return s != nullptr ? s->count - s->error : 0;
+  }
+  [[nodiscard]] bool tracked(K64 k) const { return find(k) != nullptr; }
+  [[nodiscard]] std::uint64_t total() const { return total_; }
+  [[nodiscard]] std::uint64_t evictions() const { return evictions_; }
+
+  [[nodiscard]] std::vector<Row> rows() const {
+    std::vector<Row> out;
+    for (const Slot& c : slots_) out.emplace_back(c.key, c.count, c.count - c.error);
+    return out;
+  }
+
+  void clear() {
+    slots_.clear();
+    total_ = 0;
+    evictions_ = 0;
+  }
+
+  void merge(const NaiveSpaceSaving& o) {
+    struct Merged {
+      K64 key;
+      std::uint64_t count;
+      std::uint64_t error;
+    };
+    std::vector<Merged> merged;
+    for (const Slot& c : slots_) {
+      const Slot* t = o.find(c.key);
+      merged.push_back(Merged{c.key, c.count + (t ? t->count : o.min_bound()),
+                              c.error + (t ? t->error : o.min_bound())});
+    }
+    for (const Slot& c : o.slots_) {
+      if (tracked(c.key)) continue;
+      merged.push_back(Merged{c.key, c.count + min_bound(), c.error + min_bound()});
+    }
+    std::sort(merged.begin(), merged.end(),
+              [](const Merged& a, const Merged& b) { return a.count > b.count; });
+    if (merged.size() > cap_) merged.resize(cap_);
+    const std::uint64_t total = total_ + o.total_;
+    const std::uint64_t evictions = evictions_ + o.evictions_;
+    clear();
+    for (auto it = merged.rbegin(); it != merged.rend(); ++it) {
+      increment(it->key, it->count);
+      find(it->key)->error = it->error;
+    }
+    total_ = total;
+    evictions_ = evictions;
+  }
+
+  void load(const std::vector<HhEntry<K64>>& entries, std::uint64_t total) {
+    clear();
+    for (const HhEntry<K64>& e : entries) {
+      increment(e.key, e.upper);
+      find(e.key)->error = e.upper - e.lower;
+    }
+    total_ = total;
+  }
+
+ private:
+  struct Slot {
+    K64 key;
+    std::uint64_t count;
+    std::uint64_t error;
+    std::uint64_t stamp;  // when the counter reached its count
+  };
+  Slot* find(K64 k) {
+    for (Slot& c : slots_) {
+      if (c.key == k) return &c;
+    }
+    return nullptr;
+  }
+  const Slot* find(K64 k) const { return const_cast<NaiveSpaceSaving*>(this)->find(k); }
+
+  std::size_t cap_;
+  std::vector<Slot> slots_;
+  std::uint64_t total_ = 0;
+  std::uint64_t evictions_ = 0;
+  std::uint64_t clock_ = 0;
+};
+
+/// Every key hashes alike: one home slot and one tag, so every probe walks
+/// one cluster and compares keys all the way.
+struct ConstantHash {
+  std::uint64_t operator()(K64) const noexcept { return 0x9e3779b97f4a7c15ULL; }
+};
+
+template <class SS>
+void expect_same(const SS& ss, const NaiveSpaceSaving& m, K64 probe, const std::string& at) {
+  ASSERT_TRUE(ss.validate()) << at;
+  std::vector<NaiveSpaceSaving::Row> got;
+  ss.for_each([&](K64 k, std::uint64_t up, std::uint64_t lo) { got.emplace_back(k, up, lo); });
+  ASSERT_EQ(got, m.rows()) << at;
+  ASSERT_EQ(ss.min_bound(), m.min_bound()) << at;
+  ASSERT_EQ(ss.evictions(), m.evictions()) << at;
+  ASSERT_EQ(ss.total(), m.total()) << at;
+  ASSERT_EQ(ss.tracked(probe), m.tracked(probe)) << at;
+  ASSERT_EQ(ss.upper(probe), m.upper(probe)) << at;
+  ASSERT_EQ(ss.lower(probe), m.lower(probe)) << at;
+}
+
+/// Drives SpaceSaving and the naive model side by side through a seeded
+/// stream (unit or weighted) with a copy, a copy-assignment, a merge and a
+/// reload along the way, comparing the full observable state after every
+/// step.
+template <class Hash>
+void run_layout_oracle(std::size_t cap, bool weighted) {
+  using SS = SpaceSaving<K64, Hash>;
+  Xoroshiro128 rng(0x5eed + cap * 2 + (weighted ? 1 : 0));
+  const auto domain = static_cast<std::uint32_t>(3 * cap + 5);
+  ZipfDistribution zipf(domain, 1.1);
+  const auto key = [&] { return static_cast<K64>(zipf(rng)); };
+  const auto weight = [&]() -> std::uint64_t {
+    return weighted ? 1 + rng.bounded(rng.bounded(4) == 0 ? 40 : 3) : 1;
+  };
+  const std::string tag =
+      "cap " + std::to_string(cap) + (weighted ? " weighted" : " unit") + " step ";
+  const auto feed = [&](SS& ss, NaiveSpaceSaving& m, int steps, const std::string& at) {
+    for (int i = 0; i < steps; ++i) {
+      const K64 k = key();
+      const std::uint64_t w = weight();
+      ss.increment(k, w);
+      m.increment(k, w);
+      expect_same(ss, m, key(), at + std::to_string(i));
+      if (::testing::Test::HasFatalFailure()) return;
+    }
+  };
+
+  SS ss(cap);
+  NaiveSpaceSaving m(cap);
+  feed(ss, m, 1500, tag);
+  ASSERT_FALSE(::testing::Test::HasFatalFailure());
+
+  // A copy evolves independently of its source.
+  SS copy(ss);
+  NaiveSpaceSaving mc = m;
+  feed(copy, mc, 300, tag + "copy ");
+  feed(ss, m, 300, tag + "source ");
+  ss = copy;
+  m = mc;
+  expect_same(ss, m, key(), tag + "assigned");
+  feed(ss, m, 300, tag + "after assign ");
+  ASSERT_FALSE(::testing::Test::HasFatalFailure());
+
+  // Merge a summary of another stream.
+  SS other(cap);
+  NaiveSpaceSaving mo(cap);
+  feed(other, mo, 700, tag + "other ");
+  ss.merge(other);
+  m.merge(mo);
+  expect_same(ss, m, key(), tag + "merged");
+  feed(ss, m, 600, tag + "after merge ");
+  ASSERT_FALSE(::testing::Test::HasFatalFailure());
+
+  // Reload from the roster, then keep going.
+  SS loaded(cap);
+  loaded.load(ss.entries(), ss.total());
+  m.load(ss.entries(), ss.total());
+  expect_same(loaded, m, key(), tag + "loaded");
+  feed(loaded, m, 600, tag + "after load ");
+  ASSERT_FALSE(::testing::Test::HasFatalFailure());
+
+  loaded.clear();
+  m.clear();
+  expect_same(loaded, m, key(), tag + "cleared");
+  feed(loaded, m, 200, tag + "after clear ");
+}
+
+class SpaceSavingLayoutOracle
+    : public ::testing::TestWithParam<std::tuple<std::size_t, bool>> {};
+
+TEST_P(SpaceSavingLayoutOracle, MatchesNaiveModel) {
+  run_layout_oracle<KeyHash<K64>>(std::get<0>(GetParam()), std::get<1>(GetParam()));
+}
+
+TEST_P(SpaceSavingLayoutOracle, MatchesNaiveModelWithOneHomeSlot) {
+  run_layout_oracle<ConstantHash>(std::get<0>(GetParam()), std::get<1>(GetParam()));
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Capacities, SpaceSavingLayoutOracle,
+    ::testing::Combine(::testing::Values(std::size_t{1}, std::size_t{2}, std::size_t{3},
+                                         std::size_t{7}, std::size_t{64}, std::size_t{401}),
+                       ::testing::Bool()),
+    [](const auto& info) {
+      return "cap" + std::to_string(std::get<0>(info.param)) +
+             (std::get<1>(info.param) ? "_weighted" : "_unit");
+    });
+
+/// Low 32 bits (the home slot) shared by every key, tag bits per key: one
+/// cluster holds every counter, and probes stay cheap enough to grow it
+/// past the 16-bit distance field.
+struct OneHomeHash {
+  std::uint64_t operator()(K64 k) const noexcept { return (mix64(k) << 32) | 0x2a; }
+};
+
+TEST(SpaceSaving, ProbeDistancePastSixteenBits) {
+  // 65535 entries is the most one 16-bit distance field can describe; a
+  // cluster of every counter runs past it, and the saturated slots fall
+  // back to the distance their counters' homes give.
+  constexpr std::size_t kCap = 65535 + 200;
+  SpaceSaving<K64, OneHomeHash> ss(kCap);
+  for (K64 k = 0; k < kCap; ++k) ss.increment(k, 2);
+  ASSERT_TRUE(ss.validate());
+  for (K64 k = kCap - 300; k < kCap; ++k) ASSERT_EQ(ss.upper(k), 2u) << k;
+  EXPECT_FALSE(ss.tracked(kCap));
+  // Hits on the far end, then evictions: the victims come from the far end
+  // (most recent at the minimum count) and erase past saturated slots.
+  for (K64 k = kCap - 100; k < kCap; ++k) ss.increment(k);
+  for (K64 k = kCap; k < kCap + 300; ++k) ss.increment(k);
+  ASSERT_TRUE(ss.validate());
+  EXPECT_EQ(ss.evictions(), 300u);
+  for (K64 k = kCap - 100; k < kCap; ++k) EXPECT_EQ(ss.upper(k), 3u) << k;
+  for (K64 k = kCap; k < kCap + 300; ++k) EXPECT_TRUE(ss.tracked(k)) << k;
+  const SpaceSaving<K64, OneHomeHash> copy(ss);
+  EXPECT_TRUE(copy.validate());
+  EXPECT_EQ(copy.entries().size(), kCap);
 }
 
 // -------------------------------------------------------- misra-gries ----

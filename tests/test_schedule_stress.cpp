@@ -633,6 +633,8 @@ TEST(ScheduleStress, NoDoubleRotationWhenCooperativeAndFallbackRace) {
         << "short sealed window at age " << age;
   }
   EXPECT_EQ(s.budget_rotations, s.window_epochs);
+  EXPECT_LE(s.drift_samples, s.budget_rotations);
+  EXPECT_LE(s.late_rotations, s.drift_samples);
 }
 
 }  // namespace

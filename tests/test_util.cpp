@@ -14,6 +14,7 @@
 #include "util/flat_hash_map.hpp"
 #include "util/key128.hpp"
 #include "util/random.hpp"
+#include "util/scratch_vector.hpp"
 #include "util/spsc_ring.hpp"
 
 namespace rhhh {
@@ -484,6 +485,24 @@ TEST(SpscRing, BatchProducerConsumerThreads) {
     if (sent == 0) std::this_thread::yield();
   }
   consumer.join();
+}
+
+// ------------------------------------------------------ scratch vector ----
+
+TEST(ScratchVector, CopiesStartWithoutTheBuffer) {
+  ScratchVector<std::uint64_t> a;
+  std::uint64_t* p = a.room(200000);
+  p[199999] = 7;
+  EXPECT_GE(a.capacity(), 200000u);
+  EXPECT_EQ(a.room(10), p);  // shrinking requests reuse the buffer
+  const ScratchVector<std::uint64_t> b(a);
+  EXPECT_EQ(b.capacity(), 0u);
+  ScratchVector<std::uint64_t> c;
+  (void)c.room(4);
+  c = a;  // keeps its own small buffer
+  EXPECT_LT(c.capacity(), 200000u);
+  const ScratchVector<std::uint64_t> moved(std::move(a));
+  EXPECT_GE(moved.capacity(), 200000u);
 }
 
 }  // namespace
